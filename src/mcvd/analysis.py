@@ -28,7 +28,6 @@ __all__ = [
     "rmse",
     "evaluate_vds",
     "export_curves",
-    "sir_vs_reference",
     "spearman",
 ]
 
@@ -43,19 +42,6 @@ def rmse(signal_a: ReceivedSignal, signal_b: ReceivedSignal, n_emitted: int) -> 
         raise ValidationError("rmse requires signals on identical grids")
     diff = n_emitted * (signal_a.cumulative_fraction - signal_b.cumulative_fraction)
     return float(np.sqrt(np.mean(diff * diff)))
-
-
-def sir_vs_reference(sig: ReceivedSignal, reference_end: float) -> np.ndarray:
-    """SIR with the interference denominator taken from another curve's final
-    value; bins whose denominator is not positive get the +inf sentinel."""
-    if reference_end <= 0:
-        raise ValidationError("reference end value must be > 0")
-    f = sig.cumulative_fraction
-    denom = reference_end - f
-    out = np.full_like(f, np.inf)
-    ok = denom > 0
-    out[ok] = f[ok] / denom[ok]
-    return out
 
 
 @dataclass
@@ -173,7 +159,7 @@ def export_curves(p: SystemParams, sim: ReceivedSignal,
             sig.cumulative_fraction)
         sir_own = sir_curve(sig)
         put(out_dir / f"sir_own_{name}.csv", "time_s,sir", sir_own)
-        sir_ref = sir_vs_reference(sig, sim_end)
+        sir_ref = sir_curve(sig, sim_end)
         put(out_dir / f"sir_vs_sim_{name}.csv", "time_s,sir", sir_ref)
         molecules = n_emitted * sig.cumulative_fraction
         signal_series.append((name, times, molecules))

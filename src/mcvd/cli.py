@@ -138,10 +138,13 @@ def _cmd_predict(args) -> int:
 def _load_run(run_dir: Path):
     manifest = RunManifest.load(run_dir)
     sc = manifest.sim_config
-    cfg = SimConfig(n_molecules=int(sc["n_molecules"]),
-                    n_replications=int(sc["n_replications"]),
-                    grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
-                    seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
+    try:
+        cfg = SimConfig(n_molecules=int(sc["n_molecules"]),
+                        n_replications=int(sc["n_replications"]),
+                        grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
+                        seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
     return manifest, cfg
 
 

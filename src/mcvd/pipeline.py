@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import FitResult, default_problem, fit
-from .network import CaseRecord, Network, TrainReport, forward, train
+from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
 from .simulate import SimConfig, case_seed, simulate_case
 from .types import (
     MissingArtifactError,
@@ -133,6 +133,25 @@ def _atomic_write(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_text(path: Path) -> str:
+    if not path.exists():
+        raise MissingArtifactError(str(path))
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return data
+
+
 def signal_csv_text(sig: ReceivedSignal) -> str:
     lines = ["time_s,cumulative_fraction"]
     times = sig.grid.times()
@@ -147,20 +166,24 @@ def write_signal_csv(sig: ReceivedSignal, path: Path) -> None:
 
 def read_signal_csv(path: Path, source: Source = Source.SIMULATION) -> ReceivedSignal:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    rows = path.read_text(encoding="utf-8").strip().split("\n")
+    rows = _read_text(path).strip().split("\n")
     if rows[0] != "time_s,cumulative_fraction":
         raise ValidationError(f"unexpected signal CSV header in {path}")
+    if len(rows) < 2:
+        raise ValidationError(f"no signal rows in {path}")
     times = []
     values = []
     for row in rows[1:]:
-        t_str, v_str = row.split(",")
-        times.append(float(t_str))
-        values.append(float(v_str))
+        try:
+            t_str, v_str = row.split(",")
+            times.append(float(t_str))
+            values.append(float(v_str))
+        except ValueError as exc:
+            raise ValidationError(f"malformed signal row {row!r} in {path}: {exc}") from exc
     times = np.asarray(times)
-    dt = times[0]
-    grid = TimeGrid(dt=dt, t_end=times[-1])
+    grid = TimeGrid(dt=times[0], t_end=times[-1])
+    if times.size != grid.n_bins or not np.all(np.abs(times - grid.times()) <= 1e-9 * grid.t_end):
+        raise ValidationError(f"signal times in {path} are not evenly spaced")
     return ReceivedSignal(grid, np.asarray(values), source)
 
 
@@ -184,20 +207,21 @@ def write_records_csv(records: list[CaseRecord], path: Path) -> None:
 
 def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    rows = path.read_text(encoding="utf-8").strip().split("\n")
+    rows = _read_text(path).strip().split("\n")
     if rows[0] != "d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3":
         raise ValidationError(f"unexpected records CSV header in {path}")
     records = []
     for row in rows[1:]:
-        d, rtx, rrx, dc, kind, b1, b2, b3 = row.split(",")
-        params = SystemParams(d=float(d), r_tx=float(rtx), r_rx=float(rrx),
-                              diff_coeff=float(dc))
-        if ModelKind(kind) is ModelKind.PRIMITIVE:
-            model = ModelParams(ModelKind.PRIMITIVE, float(b1))
-        else:
-            model = ModelParams(ModelKind.ENHANCED, float(b1), float(b2), float(b3))
+        try:
+            d, rtx, rrx, dc, kind, b1, b2, b3 = row.split(",")
+            params = SystemParams(d=float(d), r_tx=float(rtx), r_rx=float(rrx),
+                                  diff_coeff=float(dc))
+            if ModelKind(kind) is ModelKind.PRIMITIVE:
+                model = ModelParams(ModelKind.PRIMITIVE, float(b1))
+            else:
+                model = ModelParams(ModelKind.ENHANCED, float(b1), float(b2), float(b3))
+        except ValueError as exc:
+            raise ValidationError(f"malformed record row {row!r} in {path}: {exc}") from exc
         records.append(CaseRecord(params, model, provenance))
     return records
 
@@ -225,20 +249,27 @@ def save_network(net: Network, path: Path) -> None:
 
 def load_network(path: Path) -> Network:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path)
     if data.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported network format in {path}")
     as_arr = lambda rows: np.array([[float(v) for v in row] for row in rows])
     as_vec = lambda row: np.array([float(v) for v in row])
-    return Network(
-        kind=ModelKind(data["kind"]),
-        w1=as_arr(data["w1"]), b1=as_vec(data["b1"]),
-        w2=as_arr(data["w2"]), b2=as_vec(data["b2"]),
-        in_min=as_vec(data["in_min"]), in_max=as_vec(data["in_max"]),
-        out_min=as_vec(data["out_min"]), out_max=as_vec(data["out_max"]),
-    )
+    try:
+        net = Network(
+            kind=ModelKind(data["kind"]),
+            w1=as_arr(data["w1"]), b1=as_vec(data["b1"]),
+            w2=as_arr(data["w2"]), b2=as_vec(data["b2"]),
+            in_min=as_vec(data["in_min"]), in_max=as_vec(data["in_max"]),
+            out_min=as_vec(data["out_min"]), out_max=as_vec(data["out_max"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed network in {path}: {exc!r}") from exc
+    h, o = net.hidden, net.out_dim
+    shapes = [a.shape for a in (net.w1, net.b1, net.w2, net.b2,
+                                net.in_min, net.in_max, net.out_min, net.out_max)]
+    if shapes != [(h, N_INPUTS), (h,), (o, h), (o,), (N_INPUTS,), (N_INPUTS,), (o,), (o,)]:
+        raise ValidationError(f"inconsistent weight shapes in network {path}")
+    return net
 
 
 def case_key(p: SystemParams, cfg: SimConfig) -> str:
@@ -290,12 +321,13 @@ class RunManifest:
     @staticmethod
     def load(out_dir: Path) -> "RunManifest":
         path = RunManifest.path_in(out_dir)
-        if not path.exists():
-            raise MissingArtifactError(str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return RunManifest(seed=data["seed"], sim_config=data["sim_config"],
-                           grid_hashes=data["grid_hashes"], stages=data["stages"],
-                           artifacts=data["artifacts"], failures=data["failures"])
+        data = _read_json(path)
+        fields = {"seed": int, "sim_config": dict, "grid_hashes": dict,
+                  "stages": list, "artifacts": dict, "failures": list}
+        for name, kind in fields.items():
+            if not isinstance(data.get(name), kind):
+                raise ValidationError(f"manifest {path} lacks a {kind.__name__} {name!r}")
+        return RunManifest(**{name: data[name] for name in fields})
 
 
 def _sim_config_dict(cfg: SimConfig) -> dict:
@@ -341,12 +373,15 @@ def _write_record_json(path: Path, rec: CaseRecord, result: FitResult) -> None:
 
 
 def _read_record_json(path: Path) -> CaseRecord:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    params = SystemParams(d=float(data["d"]), r_tx=float(data["r_tx"]),
-                          r_rx=float(data["r_rx"]), diff_coeff=float(data["diff_coeff"]))
-    model = ModelParams.from_coefficients(ModelKind(data["kind"]),
-                                          [float(c) for c in data["coefficients"]])
-    return CaseRecord(params, model, Provenance(data["provenance"]))
+    data = _read_json(path)
+    try:
+        params = SystemParams(d=float(data["d"]), r_tx=float(data["r_tx"]),
+                              r_rx=float(data["r_rx"]), diff_coeff=float(data["diff_coeff"]))
+        model = ModelParams.from_coefficients(ModelKind(data["kind"]),
+                                              [float(c) for c in data["coefficients"]])
+        return CaseRecord(params, model, Provenance(data["provenance"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed case record {path}: {exc!r}") from exc
 
 
 def _simulate_case_cached(p: SystemParams, cfg: SimConfig,

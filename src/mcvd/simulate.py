@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import ReceivedSignal, Source, SystemParams, TimeGrid, ValidationError
+from .types import NumericError, ReceivedSignal, Source, SystemParams, TimeGrid, ValidationError
 
 __all__ = [
     "SimConfig",
@@ -190,7 +190,8 @@ def simulate_batch(cases: list[SystemParams], cfg: SimConfig,
     """simulate_case per input, each under its content-derived sub-seed.
 
     Per-case failures are aggregated and reported together with the case
-    parameters that produced them.
+    parameters that produced them: as a NumericError when any case failed
+    numerically, else as a ValidationError.
     """
     def run_one(p: SystemParams) -> ReceivedSignal:
         sub = SimConfig(cfg.n_molecules, cfg.n_replications, cfg.grid,
@@ -198,7 +199,7 @@ def simulate_batch(cases: list[SystemParams], cfg: SimConfig,
         return simulate_case(p, sub)
 
     results: list[ReceivedSignal | None] = [None] * len(cases)
-    failures: list[str] = []
+    errors: list[tuple[SystemParams, Exception]] = []
     if n_workers > 1 and len(cases) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = {i: pool.submit(run_one, p) for i, p in enumerate(cases)}
@@ -206,13 +207,15 @@ def simulate_batch(cases: list[SystemParams], cfg: SimConfig,
             try:
                 results[i] = fut.result()
             except Exception as exc:
-                failures.append(f"case {cases[i]}: {exc}")
+                errors.append((cases[i], exc))
     else:
         for i, p in enumerate(cases):
             try:
                 results[i] = run_one(p)
             except Exception as exc:
-                failures.append(f"case {p}: {exc}")
-    if failures:
-        raise ValidationError("simulate_batch failures: " + "; ".join(failures))
+                errors.append((p, exc))
+    if errors:
+        numeric = any(isinstance(exc, NumericError) for _, exc in errors)
+        raise (NumericError if numeric else ValidationError)(
+            "simulate_batch failures: " + "; ".join(f"case {p}: {exc}" for p, exc in errors))
     return results

@@ -140,7 +140,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform output binning: n_bins bins of width dt covering (0, t_end]."""
+    """Uniform output binning: n_bins bins of width dt covering (0, t_end].
+
+    t_end must be an integer multiple of dt (to a relative 1e-9).
+    """
 
     dt: float
     t_end: float
@@ -153,7 +156,15 @@ class TimeGrid:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
         if self.t_end < self.dt:
             raise ValidationError("t_end must be >= dt")
-        object.__setattr__(self, "n_bins", int(round(self.t_end / self.dt)))
+        # relative tolerance: 0.3 / 0.1 is 2.9999999999999996 in binary floats
+        ratio = self.t_end / self.dt
+        if not np.isfinite(ratio):
+            raise ValidationError(f"t_end / dt overflows: {self.t_end} / {self.dt}")
+        n_bins = round(ratio)
+        if abs(ratio - n_bins) > 1e-9 * n_bins:
+            raise ValidationError(
+                f"t_end {self.t_end} is not an integer multiple of dt {self.dt}")
+        object.__setattr__(self, "n_bins", n_bins)
 
     def times(self) -> np.ndarray:
         """Bin-end times k*dt for k = 1..n_bins."""

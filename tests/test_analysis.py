@@ -18,7 +18,6 @@ from mcvd import (
     sample_model,
     spearman,
 )
-from mcvd.analysis import sir_vs_reference
 from mcvd.types import MissingArtifactError
 
 GRID = TimeGrid(1e-2, 0.5)
@@ -60,19 +59,6 @@ class TestRmse:
         b = sig([0.1, 0.2, 0.3])
         with pytest.raises(ValidationError):
             rmse(a, b, 3000)
-
-
-class TestSirVsReference:
-    def test_matches_own_sir_when_reference_is_own_end(self):
-        from mcvd import sir_curve
-        s = sig([0.1, 0.2, 0.4])
-        assert np.array_equal(sir_vs_reference(s, 0.4), sir_curve(s))
-
-    def test_exceeding_reference_gives_sentinel(self):
-        s = sig([0.1, 0.5])
-        out = sir_vs_reference(s, 0.3)
-        assert out[0] == pytest.approx(0.5)
-        assert np.isposinf(out[1])
 
 
 def _vds_setup(n_per_group=2):

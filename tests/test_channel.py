@@ -38,12 +38,14 @@ class TestErfc:
             assert abs(erfc(-x) - (2.0 - expected)) <= 1e-12
 
     def test_dense_grid_against_stdlib(self):
-        # independent second check: CPython's libm-backed erfc
+        # erfc is CPython's libm-backed math.erfc mapped over the array, so the
+        # vectorized path must return exactly its values; accuracy is checked
+        # against the frozen oracle above
         import math
         xs = np.linspace(0.0, 10.0, 2003)
         vals = erfc(xs)
         for x, v in zip(xs, vals):
-            assert abs(v - math.erfc(float(x))) <= 1e-12
+            assert v == math.erfc(float(x))
 
     def test_nan_propagates(self):
         assert np.isnan(erfc(float("nan")))
@@ -169,6 +171,17 @@ class TestSirCurve:
         with pytest.raises(ValidationError):
             sir_curve(self._signal([0.0, 0.0, 0.0]))
 
+    def test_reference_end_defaults_to_own_end(self):
+        s = self._signal([0.1, 0.2, 0.4])
+        assert np.array_equal(sir_curve(s, 0.4), sir_curve(s))
+        with pytest.raises(ValidationError):
+            sir_curve(s, 0.0)
+
+    def test_exceeding_reference_gives_sentinel(self):
+        out = sir_curve(self._signal([0.1, 0.5]), 0.3)
+        assert out[0] == pytest.approx(0.5)
+        assert np.isposinf(out[1])
+
     def test_nondecreasing_where_finite(self, params):
         grid = TimeGrid(dt=1e-2, t_end=1.0)
         sig = sample_point_formula(params, grid)
@@ -187,6 +200,19 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0)
         with pytest.raises(ValidationError):
             TimeGrid(0.5, 0.2)
+
+    def test_t_end_not_a_multiple_of_dt_rejected(self):
+        for dt, t_end in ((0.3, 1.0), (0.25, 1.1), (1e-3, 1.0005)):
+            with pytest.raises(ValidationError, match="multiple"):
+                TimeGrid(dt, t_end)
+        with pytest.raises(ValidationError):
+            TimeGrid(1e-300, 1e300)
+
+    def test_inexact_float_multiples_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in binary floats
+        assert TimeGrid(0.1, 0.3).n_bins == 3
+        assert TimeGrid(1e-3, 1.0).n_bins == 1000
+        assert TimeGrid(0.005, 0.2).n_bins == 40
 
     def test_times_are_bin_ends(self):
         t = TimeGrid(0.5, 2.0).times()

@@ -1,6 +1,9 @@
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcvd.cli import (
     EXIT_MISSING_ARTIFACT,
@@ -43,6 +46,10 @@ class TestSimulateCommand:
     def test_invalid_params_exit_1(self, tmp_path):
         code = run_cli("simulate", "--d", "-4", "--rrx", "5", "--D", "100",
                        "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_VALIDATION
+        # t_end not a multiple of dt
+        code = run_cli("simulate", "--d", "4", "--rrx", "5", "--D", "100",
+                       "--dt", "0.3", "--t-end", "1.0", "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_VALIDATION
 
     def test_unknown_flag_exit_1(self, tmp_path):
@@ -132,3 +139,126 @@ class TestParser:
         ])
         assert args.grid == "full"
         assert args.replications == 500
+
+
+def _is_float(s: str) -> bool:
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
+
+
+# cell contents float() rejects; no separators, so the row structure stays
+NOT_A_NUMBER = st.text(st.characters(blacklist_characters=",\n\r"),
+                       max_size=6).filter(lambda s: not _is_float(s))
+
+
+@st.composite
+def corrupted_csv(draw, text: str) -> str:
+    """One data cell of a CSV artifact deleted or replaced by a non-number."""
+    lines = text.rstrip("\n").split("\n")
+    i = draw(st.integers(1, len(lines) - 1))
+    cells = lines[i].split(",")
+    j = draw(st.integers(0, len(cells) - 1))
+    if draw(st.booleans()):
+        del cells[j]
+    else:
+        cells[j] = draw(NOT_A_NUMBER)
+    lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _numeric_leaves(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if isinstance(obj, str) and _is_float(obj) else []
+    return [leaf for k, v in items for leaf in _numeric_leaves(v, path + (k,))]
+
+
+@st.composite
+def corrupted_json(draw, text: str, keys: tuple[str, ...]) -> str:
+    """A JSON artifact truncated, missing one of the keys its reader needs,
+    with one of those keys holding a value of the wrong type, or with one
+    number under those keys replaced by a non-number."""
+    how = draw(st.sampled_from(["truncate", "drop_key", "wrong_type", "bad_number"]))
+    if how == "truncate":
+        # every proper prefix lacks the closing brace of the top-level object
+        return text[:draw(st.integers(0, text.rindex("}") - 1))]
+    data = json.loads(text)
+    if how == "drop_key":
+        del data[draw(st.sampled_from(keys))]
+    elif how == "wrong_type":
+        key = draw(st.sampled_from(keys))
+        data[key] = draw(st.sampled_from(
+            [v for v in (None, [], {}) if type(v) is not type(data[key])]))
+    else:
+        path = draw(st.sampled_from(_numeric_leaves({k: data[k] for k in keys})))
+        node = data
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = draw(NOT_A_NUMBER)
+    return json.dumps(data)
+
+
+CORRUPTION = settings(max_examples=25, deadline=None)
+
+
+class TestCorruptedArtifacts:
+    """A malformed artifact is a validation error (exit 1), never a traceback."""
+
+    @given(data=st.data())
+    @CORRUPTION
+    def test_signal_csv(self, pipeline_run, tmp_path_factory, data):
+        original = sorted((pipeline_run / "signals").glob("sig_*.csv"))[0].read_text()
+        path = tmp_path_factory.mktemp("bad") / "sig.csv"
+        path.write_text(data.draw(corrupted_csv(original)))
+        assert run_cli("fit", "--signal", str(path), "--d", "3", "--rrx", "6",
+                       "--D", "90") == EXIT_VALIDATION
+
+    @given(data=st.data())
+    @CORRUPTION
+    def test_records_csv(self, pipeline_run, tmp_path_factory, data):
+        original = (pipeline_run / "records_tds_enhanced.csv").read_text()
+        tmp = tmp_path_factory.mktemp("bad")
+        (tmp / "records.csv").write_text(data.draw(corrupted_csv(original)))
+        assert run_cli("train", "--records", str(tmp / "records.csv"),
+                       "--out", str(tmp / "out")) == EXIT_VALIDATION
+
+    @given(data=st.data())
+    @CORRUPTION
+    def test_network_json(self, pipeline_run, tmp_path_factory, data):
+        original = (pipeline_run / "network_enhanced.json").read_text()
+        keys = ("format_version", "kind", "w1", "b1", "w2", "b2",
+                "in_min", "in_max", "out_min", "out_max")
+        path = tmp_path_factory.mktemp("bad") / "net.json"
+        path.write_text(data.draw(corrupted_json(original, keys)))
+        assert run_cli("predict", "--network", str(path), "--d", "7", "--rtx", "6",
+                       "--rrx", "6", "--D", "70") == EXIT_VALIDATION
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_case_record_json_read_on_resume(self, pipeline_run, tmp_path_factory, data):
+        run = tmp_path_factory.mktemp("bad") / "run"
+        shutil.copytree(pipeline_run, run)
+        # a TDS primitive record is read by the first stage of a resumed run
+        rec = next(p for p in sorted((run / "records").glob("rec_primitive_*.json"))
+                   if json.loads(p.read_text())["provenance"] == "TDS")
+        keys = ("d", "r_tx", "r_rx", "diff_coeff", "kind", "coefficients", "provenance")
+        rec.write_text(data.draw(corrupted_json(rec.read_text(), keys)))
+        code = run_cli("pipeline", "--out", str(run), "--seed", "3",
+                       "--molecules", "150", "--replications", "2",
+                       "--dt", "0.005", "--t-end", "0.5", "--hidden", "4")
+        assert code == EXIT_VALIDATION
+
+    @given(data=st.data())
+    @CORRUPTION
+    def test_manifest_json(self, pipeline_run, tmp_path_factory, data):
+        original = (pipeline_run / "manifest.json").read_text()
+        keys = ("seed", "sim_config", "grid_hashes", "stages", "artifacts", "failures")
+        run = tmp_path_factory.mktemp("bad")
+        (run / "manifest.json").write_text(data.draw(corrupted_json(original, keys)))
+        assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mcvd import (
     CaseRecord,
@@ -10,6 +11,7 @@ from mcvd import (
     SimConfig,
     SystemParams,
     TimeGrid,
+    ValidationError,
     predict_vds,
     run_phase1,
     run_phase2,
@@ -81,6 +83,18 @@ class TestSerialization:
         assert back.grid == sig.grid
         header = path.read_text().splitlines()[0]
         assert header == "time_s,cumulative_fraction"
+
+    def test_unevenly_spaced_signal_rows_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        header = "time_s,cumulative_fraction\n"
+        path.write_text(header + "0.1,0.1\n0.2,0.2\n0.3,0.3\n")
+        assert read_signal_csv(path).grid == TimeGrid(0.1, 0.3)
+        for rows in ("0.1,0.1\n0.25,0.2\n0.3,0.3\n",   # a row off the grid
+                     "0.1,0.1\n0.2,0.2\n0.4,0.3\n",    # a missing row
+                     "0.1,0.1\n0.3,0.2\n0.2,0.3\n"):   # rows out of order
+            path.write_text(header + rows)
+            with pytest.raises(ValidationError, match="evenly spaced"):
+                read_signal_csv(path)
 
     def test_records_round_trip(self, tmp_path):
         recs = [

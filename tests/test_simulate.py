@@ -153,6 +153,23 @@ class TestSimulateBatch:
     def test_empty_batch(self):
         assert simulate_batch([], small_cfg()) == []
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_numeric_failure_is_reported_as_numeric(self, monkeypatch, n_workers):
+        import mcvd.simulate
+        from mcvd.types import NumericError
+
+        def failing(p, cfg):
+            if p.d == 3.0:
+                raise NumericError("non-finite positions")
+            raise ValidationError("bad case")
+
+        monkeypatch.setattr(mcvd.simulate, "simulate_case", failing)
+        cases = [SystemParams(d=d, r_tx=0.0, r_rx=4.0, diff_coeff=100.0) for d in (2.0, 3.0)]
+        with pytest.raises(NumericError, match="non-finite positions"):
+            simulate_batch(cases, small_cfg(), n_workers=n_workers)
+        with pytest.raises(ValidationError, match="bad case"):
+            simulate_batch(cases[:1], small_cfg(), n_workers=n_workers)
+
 
 class TestSimConfig:
     def test_validation(self):
