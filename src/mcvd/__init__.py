@@ -25,7 +25,7 @@ from .pipeline import (
     run_phase2,
     study_grids,
 )
-from .simulate import Geometry, SimConfig, build_geometry, simulate_batch, simulate_case, step_molecule
+from .simulate import Geometry, SimConfig, build_geometry, simulate_case
 from .types import (
     MissingArtifactError,
     ModelKind,

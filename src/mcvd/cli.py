@@ -241,6 +241,11 @@ def _cmd_pipeline(args) -> int:
     manifest.add_artifact("rmse_groups", "evaluation/rmse_groups.csv")
     manifest.save(out_dir)
     print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
+    if manifest.failures:
+        print(f"error: {len(manifest.failures)} failed cases; see 'failures' in "
+              f"{RunManifest.path_in(out_dir)}", file=sys.stderr)
+        return EXIT_NUMERIC if any(f.get("numeric") for f in manifest.failures) \
+            else EXIT_VALIDATION
     return EXIT_OK
 
 

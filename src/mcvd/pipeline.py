@@ -6,8 +6,10 @@ CSV (`time_s,cumulative_fraction`), case records are CSV
 (`d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3`), networks are versioned JSON.
 All floats are serialized with 17 significant digits so artifacts round-trip
 bit-exactly; files are committed atomically (write temp, rename) which makes
-interrupted runs resumable: already-persisted cases are recognized by a
-content hash of their parameters and configuration and skipped.
+interrupted runs resumable: the signal of an already-simulated case is
+recognized by a content hash of its parameters, the configuration and the
+simulator version, and read instead of simulated again. Fits are not
+persisted per case; a rerun fits every case again, which is deterministic.
 """
 from __future__ import annotations
 
@@ -16,18 +18,19 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .fitting import FitResult, default_problem, fit
+from .fitting import default_problem, fit
 from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
-from .simulate import SimConfig, case_seed, simulate_case
+from .simulate import SIM_VERSION, SimConfig, case_seed, simulate_case
 from .types import (
     MissingArtifactError,
     ModelKind,
     ModelParams,
+    NumericError,
     Provenance,
     ReceivedSignal,
     Source,
@@ -273,8 +276,10 @@ def load_network(path: Path) -> Network:
 
 
 def case_key(p: SystemParams, cfg: SimConfig) -> str:
-    """Content hash identifying one simulated case under one configuration."""
+    """Content hash identifying one simulated case under one configuration
+    and one simulator version."""
     key = "|".join([
+        f"sim{SIM_VERSION}",
         _fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff),
         str(cfg.n_molecules), str(cfg.n_replications),
         _fmt(cfg.grid.dt), _fmt(cfg.grid.t_end), str(cfg.substep_factor),
@@ -327,6 +332,8 @@ class RunManifest:
         for name, kind in fields.items():
             if not isinstance(data.get(name), kind):
                 raise ValidationError(f"manifest {path} lacks a {kind.__name__} {name!r}")
+        if not all(isinstance(f, dict) for f in data["failures"]):
+            raise ValidationError(f"manifest {path} lists a failure that is not an object")
         return RunManifest(**{name: data[name] for name in fields})
 
 
@@ -352,132 +359,67 @@ def _load_or_create_manifest(out_dir: Path, cfg: SimConfig) -> RunManifest:
 # pipeline stages
 
 
-def _record_json_path(out_dir: Path, key: str, kind: ModelKind) -> Path:
-    return out_dir / "records" / f"rec_{kind.value}_{key}.json"
-
-
-def _write_record_json(path: Path, rec: CaseRecord, result: FitResult) -> None:
-    m = rec.output
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "d": _fmt(rec.input.d), "r_tx": _fmt(rec.input.r_tx),
-        "r_rx": _fmt(rec.input.r_rx), "diff_coeff": _fmt(rec.input.diff_coeff),
-        "kind": m.kind.value,
-        "coefficients": [_fmt(c) for c in m.coefficients()],
-        "provenance": rec.provenance.value,
-        "rss": _fmt(result.rss),
-        "n_iterations": result.n_iterations,
-        "converged": result.converged,
-    }
-    _atomic_write(path, json.dumps(payload, indent=1) + "\n")
-
-
-def _read_record_json(path: Path) -> CaseRecord:
-    data = _read_json(path)
-    try:
-        params = SystemParams(d=float(data["d"]), r_tx=float(data["r_tx"]),
-                              r_rx=float(data["r_rx"]), diff_coeff=float(data["diff_coeff"]))
-        model = ModelParams.from_coefficients(ModelKind(data["kind"]),
-                                              [float(c) for c in data["coefficients"]])
-        return CaseRecord(params, model, Provenance(data["provenance"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed case record {path}: {exc!r}") from exc
-
-
-def _simulate_case_cached(p: SystemParams, cfg: SimConfig,
-                          out_dir: Path) -> tuple[ReceivedSignal, bool]:
-    """Read the persisted signal when present, else simulate. Returns the
-    signal and whether it still needs to be written (callers own the write so
-    a parallel phase keeps one writer)."""
-    sig_path = Path(out_dir) / "signals" / f"sig_{case_key(p, cfg)}.csv"
-    if sig_path.exists():
-        return read_signal_csv(sig_path, Source.SIMULATION), False
-    per_case = SimConfig(cfg.n_molecules, cfg.n_replications, cfg.grid,
-                         case_seed(cfg.seed, p), cfg.substep_factor)
-    return simulate_case(p, per_case), True
-
-
-def simulate_or_load_case(p: SystemParams, cfg: SimConfig, out_dir: Path) -> ReceivedSignal:
-    """Per-case simulation with persistence and content-hash resumability."""
-    out_dir = Path(out_dir)
-    sig, needs_write = _simulate_case_cached(p, cfg, out_dir)
-    if needs_write:
-        sig_path = out_dir / "signals" / f"sig_{case_key(p, cfg)}.csv"
-        sig_path.parent.mkdir(parents=True, exist_ok=True)
-        write_signal_csv(sig, sig_path)
-    return sig
-
-
 def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
                out_dir: Path, n_workers: int = 1) -> list[CaseRecord]:
-    """Simulate and fit every grid case, persisting signals and records.
+    """Simulate and fit every grid case; persist the signals and the records.
 
-    Resumable: cases whose record file already exists are loaded, cases whose
-    signal exists are refit without resimulation. Per-case failures are
-    recorded in the manifest and do not stop the rest of the grid.
+    A case whose signal file exists (same parameters, configuration and
+    simulator version) is read instead of simulated; every case is fitted
+    again, so a resumed run reuses the simulations and rewrites
+    ``records_<label>_<kind>.csv``. Workers only read or simulate; this
+    thread writes every file, in grid order. A case that fails does not stop
+    the rest of the grid: it is recorded in the manifest's failures under
+    this stage's name, replacing the stage's entries from an earlier run.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     kind = ModelKind(kind)
+    stage = f"phase1:{grid.label.value}:{kind.value}"
     manifest = _load_or_create_manifest(out_dir, cfg)
     manifest.grid_hashes[grid.label.value] = grid.content_hash()
+    manifest.failures = [f for f in manifest.failures if f.get("stage") != stage]
     cases = grid.cases()
     keys = [case_key(p, cfg) for p in cases]
+    paths = [out_dir / "signals" / f"sig_{key}.csv" for key in keys]
+    fresh = [not path.exists() for path in paths]
 
-    todo = [i for i, k in enumerate(keys)
-            if not _record_json_path(out_dir, k, kind).exists()]
+    def load_or_simulate(i: int) -> ReceivedSignal | Exception:
+        try:
+            if not fresh[i]:
+                return read_signal_csv(paths[i])
+            return simulate_case(cases[i], replace(cfg, seed=case_seed(cfg.seed, cases[i])))
+        except Exception as exc:  # recorded below; the other cases go on
+            return exc
 
-    def sim_one(i: int) -> tuple[ReceivedSignal, bool]:
-        return _simulate_case_cached(cases[i], cfg, out_dir)
-
-    # workers only compute; this thread is the sole writer
-    signals: dict[int, ReceivedSignal] = {}
-    errors: dict[int, str] = {}
-    results: dict[int, tuple[ReceivedSignal, bool]] = {}
-    if n_workers > 1 and len(todo) > 1:
+    if n_workers > 1 and len(cases) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {i: pool.submit(sim_one, i) for i in todo}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                errors[i] = str(exc)
+            outcomes = list(pool.map(load_or_simulate, range(len(cases))))
     else:
-        for i in todo:
-            try:
-                results[i] = sim_one(i)
-            except Exception as exc:
-                errors[i] = str(exc)
-    for i, (sig, needs_write) in results.items():
-        if needs_write:
-            sig_path = out_dir / "signals" / f"sig_{keys[i]}.csv"
-            sig_path.parent.mkdir(parents=True, exist_ok=True)
-            write_signal_csv(sig, sig_path)
-        signals[i] = sig
+        outcomes = list(map(load_or_simulate, range(len(cases))))
+
+    for path, is_new, outcome in zip(paths, fresh, outcomes):
+        if is_new and isinstance(outcome, ReceivedSignal):
+            write_signal_csv(outcome, path)
 
     records: list[CaseRecord] = []
-    for i, (p, key) in enumerate(zip(cases, keys)):
-        rec_path = _record_json_path(out_dir, key, kind)
-        if rec_path.exists():
-            records.append(_read_record_json(rec_path))
-            continue
-        case_id = [_fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff)]
-        if i in errors:
-            manifest.failures.append({"case": case_id, "error": errors[i]})
-            continue
-        try:
-            result = fit(default_problem(p, signals[i], kind))
-            rec = CaseRecord(p, result.model, grid.label)
-        except Exception as exc:
-            manifest.failures.append({"case": case_id, "error": str(exc)})
-            continue
-        rec_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_record_json(rec_path, rec, result)
-        records.append(rec)
+    for p, outcome in zip(cases, outcomes):
+        if isinstance(outcome, ReceivedSignal):
+            try:
+                records.append(CaseRecord(p, fit(default_problem(p, outcome, kind)).model,
+                                          grid.label))
+                continue
+            except Exception as exc:
+                outcome = exc
+        manifest.failures.append({
+            "stage": stage,
+            "case": [_fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff)],
+            "error": str(outcome),
+            "numeric": isinstance(outcome, NumericError),
+        })
 
     combined = out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv"
     write_records_csv(records, combined)
-    manifest.add_stage(f"phase1:{grid.label.value}:{kind.value}")
+    manifest.add_stage(stage)
     manifest.add_artifact(f"records_{grid.label.value}_{kind.value}", combined.name)
     for key in keys:
         manifest.add_artifact(f"signal_{key}", f"signals/sig_{key}.csv")

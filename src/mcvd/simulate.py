@@ -10,7 +10,7 @@ Determinism contract: every (case, replication) pair draws from its own
 explicitly seeded PCG64 stream. The mixing function is
 ``SeedSequence(entropy=seed, spawn_key=(replication_index,))`` inside a case
 and ``SeedSequence(entropy=seed, spawn_key=(0x5EED, case_hash))`` across a
-batch, where case_hash is derived from the case's physical parameters (not
+grid, where case_hash is derived from the case's physical parameters (not
 its position), so results are bitwise reproducible for any worker count and
 any input ordering.
 """
@@ -22,17 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import NumericError, ReceivedSignal, Source, SystemParams, TimeGrid, ValidationError
+from .types import ReceivedSignal, Source, SystemParams, TimeGrid, ValidationError
 
 __all__ = [
     "SimConfig",
     "Geometry",
     "build_geometry",
-    "step_molecule",
     "simulate_case",
-    "simulate_batch",
     "case_seed",
+    "SIM_VERSION",
 ]
+
+# Bumped whenever a change to the simulator changes the signal it returns for
+# the same inputs; it enters every case key, so a resumed run never reuses a
+# signal an older simulator wrote.
+SIM_VERSION = 1
 
 _BATCH_TAG = 0x5EED
 
@@ -88,30 +92,6 @@ def build_geometry(p: SystemParams) -> Geometry:
         tx_center = None
     return Geometry(rx_radius=p.r_rx, tx_radius=p.r_tx, tx_center=tx_center,
                     emission_point=emission)
-
-
-def step_molecule(pos: np.ndarray, geom: Geometry, sigma: float,
-                  rng: np.random.Generator) -> np.ndarray | None:
-    """Advance one molecule by one Gaussian substep.
-
-    Returns None when the candidate position lies inside the receiver
-    (absorption, checked first) and the unchanged position when it lies
-    inside the transmitter body (reflection by rollback). sigma is the
-    per-axis displacement scale sqrt(2 D dt_sub).
-    """
-    pos = np.asarray(pos, dtype=float)
-    assert pos @ pos >= geom.rx_radius**2 * (1.0 - 1e-12), "molecule inside receiver"
-    if geom.has_transmitter_body:
-        rel = pos - geom.tx_center
-        assert rel @ rel >= geom.tx_radius**2 * (1.0 - 1e-12), "molecule inside transmitter"
-    cand = pos + rng.standard_normal(3) * sigma
-    if cand @ cand <= geom.rx_radius**2:
-        return None
-    if geom.has_transmitter_body:
-        rel = cand - geom.tx_center
-        if rel @ rel <= geom.tx_radius**2:
-            return pos
-    return cand
 
 
 def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
@@ -175,7 +155,7 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1) -> Receiv
 def case_seed(master_seed: int, p: SystemParams) -> int:
     """Derive a per-case 63-bit sub-seed from the case's physical identity.
 
-    Content-based (not position-based) so that permuting a batch leaves each
+    Content-based (not position-based) so that permuting a grid leaves each
     case's result unchanged.
     """
     key = f"{p.d!r}|{p.r_tx!r}|{p.r_rx!r}|{p.diff_coeff!r}".encode()
@@ -183,39 +163,3 @@ def case_seed(master_seed: int, p: SystemParams) -> int:
     case_hash = int.from_bytes(digest, "little")
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(_BATCH_TAG, case_hash))
     return int(seq.generate_state(1, np.uint64)[0] >> 1)
-
-
-def simulate_batch(cases: list[SystemParams], cfg: SimConfig,
-                   n_workers: int = 1) -> list[ReceivedSignal]:
-    """simulate_case per input, each under its content-derived sub-seed.
-
-    Per-case failures are aggregated and reported together with the case
-    parameters that produced them: as a NumericError when any case failed
-    numerically, else as a ValidationError.
-    """
-    def run_one(p: SystemParams) -> ReceivedSignal:
-        sub = SimConfig(cfg.n_molecules, cfg.n_replications, cfg.grid,
-                        case_seed(cfg.seed, p), cfg.substep_factor)
-        return simulate_case(p, sub)
-
-    results: list[ReceivedSignal | None] = [None] * len(cases)
-    errors: list[tuple[SystemParams, Exception]] = []
-    if n_workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {i: pool.submit(run_one, p) for i, p in enumerate(cases)}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                errors.append((cases[i], exc))
-    else:
-        for i, p in enumerate(cases):
-            try:
-                results[i] = run_one(p)
-            except Exception as exc:
-                errors.append((p, exc))
-    if errors:
-        numeric = any(isinstance(exc, NumericError) for _, exc in errors)
-        raise (NumericError if numeric else ValidationError)(
-            "simulate_batch failures: " + "; ".join(f"case {p}: {exc}" for p, exc in errors))
-    return results

@@ -4,6 +4,8 @@ The heavy Monte Carlo criteria run at their stated sizes; expect several
 minutes of wall time. Run with `pytest -s tests/test_acceptance.py` to watch
 the per-criterion lines appear.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,14 @@ from mcvd import (
     run_phase1,
     run_phase2,
     sample_model,
-    simulate_batch,
     simulate_case,
     spearman,
     study_grids,
     train,
 )
 from mcvd.channel import erfc
-from mcvd.pipeline import ParameterGrid, simulate_or_load_case
+from mcvd.pipeline import ParameterGrid
+from mcvd.simulate import case_seed
 
 from erfc_oracle import ERFC_TABLE
 from test_network import random_network
@@ -42,6 +44,11 @@ from test_network import random_network
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
+
+
+def simulate_grid_case(p: SystemParams, cfg: SimConfig):
+    """The case as ``run_phase1`` simulates it: under its content-derived seed."""
+    return simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +136,7 @@ def test_criterion_4_model_ordering():
     cases = [SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=75.0)
              for d in (4.0, 8.0) for rtx in (5.0, 10.0) for rrx in (5.0, 10.0)]
     cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=404)
-    sims = simulate_batch(cases, cfg)
+    sims = [simulate_grid_case(p, cfg) for p in cases]
     wins = 0
     for p, sig in zip(cases, sims):
         r_enh = rmse(sig, sample_model(
@@ -177,8 +184,8 @@ def generalization_run(tmp_path_factory):
     fit_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=FIT_SEED)
     rows = []
     for p in vds_grid.cases():
-        sig = simulate_or_load_case(p, vds_cfg, out)
-        fit_sig = simulate_or_load_case(p, fit_cfg, out)
+        sig = simulate_grid_case(p, vds_cfg)
+        fit_sig = simulate_grid_case(p, fit_cfg)
         b_fit = fit(default_problem(p, fit_sig, ModelKind.ENHANCED)).model
         r_fit = rmse(sig, sample_model(p, b_fit, grid), 3000)
         r_ann = rmse(sig, sample_model(p, forward(net, p), grid), 3000)

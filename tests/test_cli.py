@@ -1,17 +1,19 @@
 import json
-import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcvd.pipeline
 from mcvd.cli import (
     EXIT_MISSING_ARTIFACT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
     build_parser,
     main,
 )
+from mcvd.types import NumericError
 
 
 def run_cli(*args):
@@ -86,6 +88,7 @@ class TestPipelineArtifacts:
         assert (out / "network_primitive.json").exists()
         assert (out / "predictions_enhanced.csv").exists()
         assert (out / "evaluation" / "rmse_groups.csv").exists()
+        assert not (out / "records").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == []
 
@@ -127,6 +130,43 @@ class TestPipelineArtifacts:
                        "--d", "99", "--rtx", "4", "--rrx", "8", "--D", "70",
                        "--out", str(tmp_path / "b"))
         assert code == EXIT_MISSING_ARTIFACT
+
+
+class TestPipelineFailures:
+    """A pipeline run with failed cases writes every artifact, then exits
+    nonzero: 3 when a case failed numerically, else 1."""
+
+    SMALL_RUN = ("--seed", "3", "--molecules", "50", "--replications", "1",
+                 "--dt", "0.01", "--t-end", "0.2", "--hidden", "2", "--model", "primitive")
+
+    def test_cases_too_sparse_to_fit_exit_1(self, tmp_path, capsys):
+        # 50 molecules over 20 bins leave the far cases with too few hits to fit
+        code = run_cli("pipeline", "--out", str(tmp_path), *self.SMALL_RUN)
+        assert code == EXIT_VALIDATION
+        failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
+        assert failures and not any(f["numeric"] for f in failures)
+        assert f"{len(failures)} failed cases" in capsys.readouterr().err
+        assert (tmp_path / "evaluation" / "rmse_groups.csv").exists()
+
+    @pytest.mark.parametrize("stage_fn", ["fit", "simulate_case"])
+    def test_numeric_case_failure_exit_3(self, tmp_path, monkeypatch, stage_fn):
+        # one validation case fails numerically, in the fit or inside a worker
+        real = getattr(mcvd.pipeline, stage_fn)
+
+        def failing_once(*args):
+            p = args[0].params if stage_fn == "fit" else args[0]
+            if (p.d, p.r_tx, p.r_rx) == (11.0, 8.0, 8.0):
+                raise NumericError("non-finite residuals")
+            return real(*args)
+
+        monkeypatch.setattr(mcvd.pipeline, stage_fn, failing_once)
+        code = run_cli("pipeline", "--out", str(tmp_path), "--seed", "3",
+                       "--molecules", "150", "--replications", "2", "--dt", "0.005",
+                       "--t-end", "0.5", "--hidden", "4", "--model", "primitive",
+                       "--workers", "2")
+        assert code == EXIT_NUMERIC
+        failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
+        assert [(f["stage"], f["numeric"]) for f in failures] == [("phase1:VDS:primitive", True)]
 
 
 class TestParser:
@@ -240,21 +280,6 @@ class TestCorruptedArtifacts:
                        "--rrx", "6", "--D", "70") == EXIT_VALIDATION
 
     @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_case_record_json_read_on_resume(self, pipeline_run, tmp_path_factory, data):
-        run = tmp_path_factory.mktemp("bad") / "run"
-        shutil.copytree(pipeline_run, run)
-        # a TDS primitive record is read by the first stage of a resumed run
-        rec = next(p for p in sorted((run / "records").glob("rec_primitive_*.json"))
-                   if json.loads(p.read_text())["provenance"] == "TDS")
-        keys = ("d", "r_tx", "r_rx", "diff_coeff", "kind", "coefficients", "provenance")
-        rec.write_text(data.draw(corrupted_json(rec.read_text(), keys)))
-        code = run_cli("pipeline", "--out", str(run), "--seed", "3",
-                       "--molecules", "150", "--replications", "2",
-                       "--dt", "0.005", "--t-end", "0.5", "--hidden", "4")
-        assert code == EXIT_VALIDATION
-
-    @given(data=st.data())
     @CORRUPTION
     def test_manifest_json(self, pipeline_run, tmp_path_factory, data):
         original = (pipeline_run / "manifest.json").read_text()
@@ -262,3 +287,11 @@ class TestCorruptedArtifacts:
         run = tmp_path_factory.mktemp("bad")
         (run / "manifest.json").write_text(data.draw(corrupted_json(original, keys)))
         assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION
+
+    def test_manifest_failure_that_is_not_an_object(self, pipeline_run, tmp_path):
+        # a resumed phase 1 filters the failures by stage before it runs
+        manifest = json.loads((pipeline_run / "manifest.json").read_text())
+        manifest["failures"] = ["phase1:TDS:primitive"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("pipeline", "--out", str(tmp_path), *TestPipelineFailures.SMALL_RUN) \
+            == EXIT_VALIDATION

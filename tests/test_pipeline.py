@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,10 @@ class TestPhase1:
         assert len(records) == 1
         p = grid.cases()[0]
         sig_path = tmp_path / "signals" / f"sig_{case_key(p, cfg)}.csv"
-        assert sig_path.exists()
+        # the persisted signal is the case simulated under its derived seed
+        direct = simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
+        assert np.array_equal(read_signal_csv(sig_path).cumulative_fraction,
+                              direct.cumulative_fraction)
         # fitting the persisted signal reproduces the stored coefficients
         from mcvd import default_problem, fit
         refit = fit(default_problem(p, read_signal_csv(sig_path), ModelKind.ENHANCED))
@@ -153,6 +157,48 @@ class TestPhase1:
             assert f.stat().st_mtime_ns == stamp[f]  # no recomputation
         for a, b in zip(first, second):
             assert np.array_equal(a.output.coefficients(), b.output.coefficients())
+
+    def test_permuted_grid_gives_identical_signals(self, tmp_path):
+        from mcvd.pipeline import ParameterGrid
+        axes = ((2.0, 3.0), (0.0, 2.0), (60.0, 100.0), (4.0, 5.0))
+        cfg = tiny_cfg(seed=9)
+        run_phase1(ParameterGrid(*axes, Provenance.TDS), cfg, ModelKind.PRIMITIVE,
+                   tmp_path / "fwd")
+        run_phase1(ParameterGrid(*(a[::-1] for a in axes), Provenance.TDS), cfg,
+                   ModelKind.PRIMITIVE, tmp_path / "rev", n_workers=2)
+        fwd = sorted((tmp_path / "fwd" / "signals").iterdir())
+        assert len(fwd) == 16
+        for f in fwd:
+            assert f.read_bytes() == (tmp_path / "rev" / "signals" / f.name).read_bytes()
+
+    def test_resume_simulates_only_missing_signals(self, tmp_path):
+        grid = tiny_grid()
+        cfg = tiny_cfg(seed=5)
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        records = tmp_path / "records_tds_enhanced.csv"
+        before = records.read_bytes()
+        signals = sorted((tmp_path / "signals").iterdir())
+        lost, kept = signals[0], signals[1:]
+        lost_bytes = lost.read_bytes()
+        lost.unlink()
+        stamp = {f: f.stat().st_mtime_ns for f in kept}
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        assert lost.read_bytes() == lost_bytes
+        assert all(f.stat().st_mtime_ns == stamp[f] for f in kept)
+        assert records.read_bytes() == before
+
+    def test_failures_replaced_not_appended_on_rerun(self, tmp_path):
+        from mcvd.pipeline import ParameterGrid
+        # 40 um from the receiver nothing arrives within 0.1 s: too few bins to fit
+        grid = ParameterGrid((2.0, 40.0), (0.0,), (100.0,), (5.0,), Provenance.TDS)
+        cfg = tiny_cfg()
+        for _ in range(2):
+            records = run_phase1(grid, cfg, ModelKind.PRIMITIVE, tmp_path)
+            failures = RunManifest.load(tmp_path).failures
+            assert len(records) == 1
+            assert [(f["stage"], f["case"][0]) for f in failures] == [("phase1:TDS:primitive", "40")]
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        assert len(RunManifest.load(tmp_path).failures) == 2
 
     def test_record_count_matches_case_count(self, tmp_path):
         grid = tiny_grid()

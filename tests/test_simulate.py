@@ -8,10 +8,10 @@ from mcvd import (
     ValidationError,
     build_geometry,
     point_hit_fraction,
-    simulate_batch,
     simulate_case,
-    step_molecule,
 )
+
+from stepper_oracle import step_molecule
 
 
 def small_cfg(seed=0, **kw):
@@ -121,54 +121,31 @@ class TestSimulateCase:
         exact = np.array([point_hit_fraction(p, t) for t in cfg.grid.times()])
         assert np.max(np.abs(sig.cumulative_fraction - exact)) < 0.03
 
+    def test_lone_molecules_match_scalar_stepper(self):
+        # one molecule per replication: the kernel draws the same normals as
+        # the scalar oracle, so every molecule is absorbed in the same substep
+        p = SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=100.0)
+        cfg = small_cfg(seed=13, n_molecules=1, n_replications=40, substep_factor=2)
+        g = build_geometry(p)
+        sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
+        hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
+        for r in range(cfg.n_replications):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
+            pos = g.emission_point
+            for j in range(cfg.grid.n_bins * cfg.substep_factor):
+                pos = step_molecule(pos, g, sigma, rng)
+                if pos is None:
+                    hits[j // cfg.substep_factor] += 1
+                    break
+        assert 0 < hits.sum() < cfg.n_replications
+        expected = np.cumsum(hits) / float(cfg.n_emitted)
+        assert np.array_equal(simulate_case(p, cfg).cumulative_fraction, expected)
+
     def test_substep_factor_changes_motion_resolution_only(self):
         p = SystemParams(d=3.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
         sig = simulate_case(p, small_cfg(substep_factor=4))
         assert sig.grid.n_bins == 40
-
-
-class TestSimulateBatch:
-    def test_batch_of_one_equals_case_with_derived_seed(self):
-        from mcvd.simulate import case_seed
-        p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
-        cfg = small_cfg(seed=5)
-        batch = simulate_batch([p], cfg)
-        sub = SimConfig(cfg.n_molecules, cfg.n_replications, cfg.grid,
-                        case_seed(cfg.seed, p), cfg.substep_factor)
-        direct = simulate_case(p, sub)
-        assert np.array_equal(batch[0].cumulative_fraction, direct.cumulative_fraction)
-
-    def test_permutation_invariance_per_case(self):
-        cases = [
-            SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0),
-            SystemParams(d=3.0, r_tx=2.0, r_rx=5.0, diff_coeff=60.0),
-            SystemParams(d=4.0, r_tx=0.0, r_rx=6.0, diff_coeff=80.0),
-        ]
-        cfg = small_cfg(seed=9, n_molecules=150, n_replications=2)
-        fwd = simulate_batch(cases, cfg)
-        rev = simulate_batch(cases[::-1], cfg)
-        for sig_f, sig_r in zip(fwd, rev[::-1]):
-            assert np.array_equal(sig_f.cumulative_fraction, sig_r.cumulative_fraction)
-
-    def test_empty_batch(self):
-        assert simulate_batch([], small_cfg()) == []
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_numeric_failure_is_reported_as_numeric(self, monkeypatch, n_workers):
-        import mcvd.simulate
-        from mcvd.types import NumericError
-
-        def failing(p, cfg):
-            if p.d == 3.0:
-                raise NumericError("non-finite positions")
-            raise ValidationError("bad case")
-
-        monkeypatch.setattr(mcvd.simulate, "simulate_case", failing)
-        cases = [SystemParams(d=d, r_tx=0.0, r_rx=4.0, diff_coeff=100.0) for d in (2.0, 3.0)]
-        with pytest.raises(NumericError, match="non-finite positions"):
-            simulate_batch(cases, small_cfg(), n_workers=n_workers)
-        with pytest.raises(ValidationError, match="bad case"):
-            simulate_batch(cases[:1], small_cfg(), n_workers=n_workers)
 
 
 class TestSimConfig:
