@@ -370,7 +370,10 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     thread writes every file, in grid order. A case that fails does not stop
     the rest of the grid: it is recorded in the manifest's failures under
     this stage's name, replacing the stage's entries from an earlier run.
+    The manifest lists the signal of every case that has one on disk.
     """
+    if n_workers < 1:
+        raise ValidationError("n_workers must be >= 1")
     out_dir = Path(out_dir)
     (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     kind = ModelKind(kind)
@@ -421,8 +424,11 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     write_records_csv(records, combined)
     manifest.add_stage(stage)
     manifest.add_artifact(f"records_{grid.label.value}_{kind.value}", combined.name)
-    for key in keys:
-        manifest.add_artifact(f"signal_{key}", f"signals/sig_{key}.csv")
+    for key, outcome in zip(keys, outcomes):
+        if isinstance(outcome, ReceivedSignal):
+            manifest.add_artifact(f"signal_{key}", f"signals/sig_{key}.csv")
+        else:
+            manifest.artifacts.pop(f"signal_{key}", None)
     manifest.save(out_dir)
     return records
 

@@ -13,6 +13,15 @@ and ``SeedSequence(entropy=seed, spawn_key=(0x5EED, case_hash))`` across a
 grid, where case_hash is derived from the case's physical parameters (not
 its position), so results are bitwise reproducible for any worker count and
 any input ordering.
+
+Draw-order rule: a replication consumes its stream's standard normals in
+order, three per molecule in flight per substep (x, y, z of each molecule,
+molecules in array order). The kernel draws them in chunks that do not line
+up with substeps; that leaves every value unchanged, because the Generator's
+ziggurat keeps no state between calls, so n draws followed by m draws give
+the same values as one draw of n + m. Any change to this order, or to the
+floating-point operations applied to the draws, changes the signal bytes and
+must bump SIM_VERSION.
 """
 from __future__ import annotations
 
@@ -39,6 +48,10 @@ __all__ = [
 SIM_VERSION = 1
 
 _BATCH_TAG = 0x5EED
+
+# Standard normals drawn per call to the generator (at least 3 per molecule,
+# so that one chunk always covers a substep).
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,36 +109,68 @@ def build_geometry(p: SystemParams) -> Geometry:
 
 def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
                       seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """First-hit counts per output bin for one replication (vectorized)."""
+    """First-hit counts per output bin for one replication (vectorized).
+
+    Every step works in buffers allocated here once: the scaled normals of a
+    chunk, the positions and the candidate moves (two (n, 3) buffers whose
+    roles swap), the squared coordinates and the squared distances. Only the
+    first n rows are live, n being the molecules still in flight.
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    n_bins = cfg.grid.n_bins
-    n_sub = n_bins * cfg.substep_factor
-    hits = np.zeros(n_bins, dtype=np.int64)
-    pos = np.tile(geom.emission_point, (cfg.n_molecules, 1))
+    n = cfg.n_molecules
+    hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
+    steps = np.empty(max(_CHUNK, 3 * n))
+    used = steps.size
+    pos = np.tile(geom.emission_point, (n, 1))
+    cand = np.empty_like(pos)
+    sq = np.empty_like(pos)
+    d2rx = np.empty(n)
+    outside_rx = np.empty(n, dtype=bool)
     rx_r2 = geom.rx_radius * geom.rx_radius
     has_tx = geom.has_transmitter_body
     if has_tx:
         tx_x = float(geom.tx_center[0])
         tx_r2 = geom.tx_radius * geom.tx_radius
-    for j in range(1, n_sub + 1):
-        n = pos.shape[0]
+        d2tx = np.empty(n)
+        inside_tx = np.empty(n, dtype=bool)
+    for j in range(cfg.grid.n_bins * cfg.substep_factor):
+        need = 3 * n
+        if used + need > steps.size:
+            # keep the unread tail, then draw the rest of the chunk after it
+            left = steps.size - used
+            steps[:left] = steps[used:]
+            rng.standard_normal(out=steps[left:])
+            steps[left:] *= sigma
+            used = 0
+        p, c, s = pos[:n], cand[:n], sq[:n]
+        np.add(p, steps[used:used + need].reshape(n, 3), out=c)
+        used += need
+        np.square(c, out=s)
+        r2 = d2rx[:n]
+        np.add(s[:, 0], s[:, 1], out=r2)
+        r2 += s[:, 2]
+        keep = outside_rx[:n]
+        np.greater(r2, rx_r2, out=keep)
+        if has_tx:
+            # a move into the transmitter is rejected; reverting an absorbed
+            # molecule too is harmless, since it is dropped below
+            t2 = d2tx[:n]
+            np.subtract(c[:, 0], tx_x, out=t2)
+            np.square(t2, out=t2)
+            t2 += s[:, 1]
+            t2 += s[:, 2]
+            back = np.less_equal(t2, tx_r2, out=inside_tx[:n]).nonzero()[0]
+            if back.size:
+                c[back] = p[back]
+        n_left = int(np.count_nonzero(keep))
+        if n_left == n:
+            pos, cand = cand, pos
+            continue
+        hits[j // cfg.substep_factor] += n - n_left
+        c.compress(keep, axis=0, out=pos[:n_left])
+        n = n_left
         if n == 0:
             break
-        cand = pos + rng.standard_normal((n, 3)) * sigma
-        d2rx = cand[:, 0] ** 2 + cand[:, 1] ** 2 + cand[:, 2] ** 2
-        absorbed = d2rx <= rx_r2
-        if has_tx:
-            dx = cand[:, 0] - tx_x
-            d2tx = dx * dx + cand[:, 1] ** 2 + cand[:, 2] ** 2
-            reflected = ~absorbed & (d2tx <= tx_r2)
-            if reflected.any():
-                cand[reflected] = pos[reflected]
-        n_hit = int(np.count_nonzero(absorbed))
-        if n_hit:
-            hits[(j - 1) // cfg.substep_factor] += n_hit
-            pos = cand[~absorbed]
-        else:
-            pos = cand
     return hits
 
 
@@ -137,6 +182,8 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1) -> Receiv
     are merged by order-free addition. Molecules still in flight at t_end are
     discarded.
     """
+    if n_workers < 1:
+        raise ValidationError("n_workers must be >= 1")
     geom = build_geometry(p)
     sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
     seqs = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))

@@ -168,6 +168,13 @@ class TestPipelineFailures:
         failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
         assert [(f["stage"], f["numeric"]) for f in failures] == [("phase1:VDS:primitive", True)]
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_exit_1(self, tmp_path, workers):
+        code = run_cli("pipeline", "--out", str(tmp_path), *self.SMALL_RUN,
+                       "--workers", workers)
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestParser:
     def test_full_study_flags_supported(self):

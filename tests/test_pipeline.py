@@ -217,6 +217,38 @@ class TestPhase1:
             assert (tmp_path / rel).exists()
         assert any(s["name"].startswith("phase1") for s in manifest.stages)
 
+    def test_manifest_lists_only_signals_on_disk(self, tmp_path, monkeypatch):
+        import mcvd.pipeline
+        from mcvd.types import NumericError
+        grid = tiny_grid()
+        cfg = tiny_cfg()
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        lost = tmp_path / "signals" / f"sig_{case_key(grid.cases()[1], cfg)}.csv"
+        lost.unlink()
+        real = mcvd.pipeline.simulate_case
+
+        def failing_for_d4(p, case_cfg):
+            if p.d == 4.0:
+                raise NumericError("non-finite positions")
+            return real(p, case_cfg)
+
+        # the rerun fails to simulate the case whose signal was deleted
+        monkeypatch.setattr(mcvd.pipeline, "simulate_case", failing_for_d4)
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        manifest = RunManifest.load(tmp_path)
+        assert [f["case"][0] for f in manifest.failures] == ["4"]
+        assert f"signal_{case_key(grid.cases()[0], cfg)}" in manifest.artifacts
+        assert f"signal_{case_key(grid.cases()[1], cfg)}" not in manifest.artifacts
+        for rel in manifest.artifacts.values():
+            assert (tmp_path / rel).exists()
+
+    def test_worker_count_below_one_rejected(self, tmp_path):
+        for n_workers in (0, -2):
+            with pytest.raises(ValidationError):
+                run_phase1(tiny_grid(), tiny_cfg(), ModelKind.ENHANCED, tmp_path,
+                           n_workers=n_workers)
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestPhase2:
     def test_same_seed_identical_network_bytes(self, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from mcvd import (
     point_hit_fraction,
     simulate_case,
 )
+
+from mcvd.simulate import SIM_VERSION
 
 from stepper_oracle import step_molecule
 
@@ -101,6 +105,12 @@ class TestSimulateCase:
         b = simulate_case(p, small_cfg(seed=42))
         assert np.array_equal(a.cumulative_fraction, b.cumulative_fraction)
 
+    def test_worker_count_below_one_rejected(self):
+        p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
+        for n_workers in (0, -2):
+            with pytest.raises(ValidationError):
+                simulate_case(p, small_cfg(), n_workers=n_workers)
+
     def test_thread_count_does_not_change_output(self):
         p = SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0)
         cfg = small_cfg(seed=7, n_replications=8)
@@ -146,6 +156,54 @@ class TestSimulateCase:
         p = SystemParams(d=3.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
         sig = simulate_case(p, small_cfg(substep_factor=4))
         assert sig.grid.n_bins == 40
+
+
+# sha256 of cumulative_fraction.tobytes() per simulator version, recorded
+# with the per-step kernel that drew standard_normal((n, 3)) each substep. A
+# change that alters any of these bytes must bump SIM_VERSION and record the
+# new version's digests here.
+FROZEN_DIGESTS = {
+    1: {
+        "point": "f1c502be15e1a1316df6605b57cdaf5c5b19cec25ae3875845ce1a278dab7a05",
+        "reflecting": "b9561f6a5635509481acbae6997a208d9bf8390db5f6ca66c9449b84109d60b1",
+        "substeps": "ac4f844fd7a9ae1d284621259556e8788064809b902a5e0d7d2231f2e8bcfefe",
+        "odd_population": "66783b3c99337980c2d65a2531af3beda1d68cf4d1fb2e31007f168004a189c8",
+        "all_absorbed": "5c86883d9fccf21d19f66d85bcad640c467064552aeb7514013f93513bf56c27",
+    },
+}
+
+FROZEN_CASES = {
+    "point": (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), small_cfg(seed=1)),
+    # the transmitter sits right behind the release point, so moves are often
+    # reverted; molecules are absorbed in every bin
+    "reflecting": (SystemParams(d=2.0, r_tx=10.0, r_rx=5.0, diff_coeff=100.0),
+                   small_cfg(seed=2)),
+    "substeps": (SystemParams(d=3.0, r_tx=4.0, r_rx=5.0, diff_coeff=100.0),
+                 small_cfg(seed=3, substep_factor=3)),
+    # 3 x 777 normals per substep do not divide a chunk of draws
+    "odd_population": (SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0),
+                       small_cfg(seed=4, n_molecules=777)),
+    # every molecule is absorbed by bin 105 of 200
+    "all_absorbed": (SystemParams(d=0.5, r_tx=1.0, r_rx=100.0, diff_coeff=100.0),
+                     small_cfg(seed=2, n_molecules=10, grid=TimeGrid(1e-2, 2.0))),
+}
+
+
+class TestFrozenSignals:
+    @pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+    def test_signal_bytes_pinned_per_sim_version(self, name):
+        assert SIM_VERSION in FROZEN_DIGESTS, "record the digests of this SIM_VERSION"
+        p, cfg = FROZEN_CASES[name]
+        v = simulate_case(p, cfg).cumulative_fraction
+        assert hashlib.sha256(v.tobytes()).hexdigest() == FROZEN_DIGESTS[SIM_VERSION][name]
+
+    def test_cases_cover_what_they_name(self):
+        p, cfg = FROZEN_CASES["reflecting"]
+        v = simulate_case(p, cfg).cumulative_fraction
+        assert np.all(np.diff(v, prepend=0.0) > 0)
+        p, cfg = FROZEN_CASES["all_absorbed"]
+        v = simulate_case(p, cfg).cumulative_fraction
+        assert v[-2] == 1.0
 
 
 class TestSimulateBatch:
