@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -231,13 +232,14 @@ def _cmd_pipeline(args) -> int:
         print(f"phase1 VDS {kind.value}: {len(vds_records)} records")
         predictions = predict_vds(net, [r.input for r in vds_records])
         write_records_csv(predictions, out_dir / f"predictions_{kind.value}.csv")
+    t0 = time.perf_counter()
     sims, fit_records, ann_records = _vds_artifacts(out_dir, cfg)
     groups = analysis.evaluate_vds(sims, fit_records, ann_records, cfg)
     eval_path = out_dir / "evaluation" / "rmse_groups.csv"
     eval_path.parent.mkdir(parents=True, exist_ok=True)
     analysis.write_groups_csv(groups, eval_path)
     manifest = RunManifest.load(out_dir)
-    manifest.add_stage("evaluate")
+    manifest.add_stage("evaluate", time.perf_counter() - t0)
     manifest.add_artifact("rmse_groups", "evaluation/rmse_groups.csv")
     manifest.save(out_dir)
     print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")

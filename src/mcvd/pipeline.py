@@ -18,6 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fitting import default_problem, fit
 from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
-from .simulate import SIM_VERSION, SimConfig, case_seed, simulate_case
+from .simulate import SIM_VERSION, SimConfig, case_seed, process_pool, simulate_case
 from .types import (
     MissingArtifactError,
     ModelKind,
@@ -305,8 +306,16 @@ class RunManifest:
     def path_in(out_dir: Path) -> Path:
         return Path(out_dir) / "manifest.json"
 
-    def add_stage(self, name: str) -> None:
-        self.stages.append({"name": name, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
+    def add_stage(self, name: str, duration_s: float, simulated: int = 0,
+                  resumed: int = 0, failed: int = 0) -> None:
+        """Record a finished stage: its wall time and how many cases it
+        simulated, read back from an earlier run, and failed."""
+        self.stages.append({
+            "name": name,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "duration_s": round(duration_s, 3),
+            "simulated": simulated, "resumed": resumed, "failed": failed,
+        })
 
     def add_artifact(self, key: str, rel_path: str) -> None:
         self.artifacts[key] = rel_path
@@ -366,14 +375,22 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     A case whose signal file exists (same parameters, configuration and
     simulator version) is read instead of simulated; every case is fitted
     again, so a resumed run reuses the simulations and rewrites
-    ``records_<label>_<kind>.csv``. Workers only read or simulate; this
-    thread writes every file, in grid order. A case that fails does not stop
-    the rest of the grid: it is recorded in the manifest's failures under
-    this stage's name, replacing the stage's entries from an earlier run.
-    The manifest lists the signal of every case that has one on disk.
+    ``records_<label>_<kind>.csv``.
+
+    With ``n_workers > 1`` up to that many threads read or simulate the
+    cases. The kernels run in one pool of ``min(n_workers, fresh cases)``
+    worker processes, opened for this call and started before any thread,
+    so no process forks while threads run; each thread waits for its case's
+    kernel. This thread writes every file, in grid order, and fits every
+    case. A case that fails (a worker that dies fails the cases it leaves
+    unfinished) does not stop the rest of the grid: it is recorded in the
+    manifest's failures under this stage's name, replacing the stage's
+    entries from an earlier run. The manifest lists the signal of every case
+    that has one on disk, and the stage's duration and case counts.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     kind = ModelKind(kind)
@@ -386,19 +403,27 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     paths = [out_dir / "signals" / f"sig_{key}.csv" for key in keys]
     fresh = [not path.exists() for path in paths]
 
-    def load_or_simulate(i: int) -> ReceivedSignal | Exception:
-        try:
-            if not fresh[i]:
-                return read_signal_csv(paths[i])
-            return simulate_case(cases[i], replace(cfg, seed=case_seed(cfg.seed, cases[i])))
-        except Exception as exc:  # recorded below; the other cases go on
-            return exc
+    with ExitStack() as stack:
+        pool = None
+        if n_workers > 1 and any(fresh):
+            pool = stack.enter_context(process_pool(min(n_workers, sum(fresh))))
+            # with fork, the first task starts every worker process
+            pool.submit(int).result()
 
-    if n_workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(load_or_simulate, range(len(cases))))
-    else:
-        outcomes = list(map(load_or_simulate, range(len(cases))))
+        def load_or_simulate(i: int) -> ReceivedSignal | Exception:
+            try:
+                if not fresh[i]:
+                    return read_signal_csv(paths[i])
+                return simulate_case(cases[i], replace(cfg, seed=case_seed(cfg.seed, cases[i])),
+                                     pool=pool)
+            except Exception as exc:  # recorded below; the other cases go on
+                return exc
+
+        if n_workers > 1 and len(cases) > 1:
+            with ThreadPoolExecutor(max_workers=min(n_workers, len(cases))) as threads:
+                outcomes = list(threads.map(load_or_simulate, range(len(cases))))
+        else:
+            outcomes = list(map(load_or_simulate, range(len(cases))))
 
     for path, is_new, outcome in zip(paths, fresh, outcomes):
         if is_new and isinstance(outcome, ReceivedSignal):
@@ -422,10 +447,14 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
 
     combined = out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv"
     write_records_csv(records, combined)
-    manifest.add_stage(stage)
+    got = [isinstance(outcome, ReceivedSignal) for outcome in outcomes]
+    manifest.add_stage(stage, time.perf_counter() - t0,
+                       simulated=sum(g and f for g, f in zip(got, fresh)),
+                       resumed=sum(g and not f for g, f in zip(got, fresh)),
+                       failed=len(cases) - len(records))
     manifest.add_artifact(f"records_{grid.label.value}_{kind.value}", combined.name)
-    for key, outcome in zip(keys, outcomes):
-        if isinstance(outcome, ReceivedSignal):
+    for key, ok in zip(keys, got):
+        if ok:
             manifest.add_artifact(f"signal_{key}", f"signals/sig_{key}.csv")
         else:
             manifest.artifacts.pop(f"signal_{key}", None)
@@ -438,6 +467,7 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     """Train a network on phase-1 records and persist it with its report."""
     if not tds:
         raise ValidationError("phase 2 requires a nonempty training dataset")
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net, report = train(tds, hidden=hidden, seed=seed)
@@ -457,7 +487,7 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
         manifest = RunManifest.load(out_dir)
     except MissingArtifactError:
         manifest = RunManifest(seed=seed, sim_config={})
-    manifest.add_stage(f"phase2:{net.kind.value}")
+    manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
     manifest.add_artifact(f"network_{net.kind.value}", net_path.name)
     manifest.add_artifact(f"train_report_{net.kind.value}", report_path.name)
     manifest.save(out_dir)

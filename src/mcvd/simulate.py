@@ -14,6 +14,18 @@ grid, where case_hash is derived from the case's physical parameters (not
 its position), so results are bitwise reproducible for any worker count and
 any input ordering.
 
+Parallelism: kernels that run at the same time run in worker processes, never
+on threads. A step makes about a dozen numpy calls on arrays of a few
+thousand elements, and each call releases and retakes the GIL, so threads
+running kernels side by side mostly wait for one another. ``simulate_case``
+sends its replications to a process pool (its caller's, or one of its own
+when ``n_workers > 1``); with one worker and no pool they run in the calling
+thread. Workers are forked where the platform can fork, so they start with
+the package imported. Only a replication's inputs and its integer hit
+counts cross the process boundary, and integer sums do not depend on which
+process ran which replication, so the signal bytes do not depend on the
+worker count.
+
 Draw-order rule: a replication consumes its stream's standard normals in
 order, three per molecule in flight per substep (x, y, z of each molecule,
 molecules in array order). The kernel draws them in chunks that do not line
@@ -26,8 +38,8 @@ must bump SIM_VERSION.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +50,7 @@ __all__ = [
     "Geometry",
     "build_geometry",
     "simulate_case",
+    "process_pool",
     "case_seed",
     "SIM_VERSION",
 ]
@@ -174,26 +187,47 @@ def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
     return hits
 
 
-def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1) -> ReceivedSignal:
+def process_pool(n_workers: int):
+    """A pool of ``n_workers`` worker processes for simulation kernels.
+
+    Workers are forked where the platform has ``fork``, so they inherit the
+    imported package; elsewhere the platform's default start method is used.
+    The pool module is imported here rather than at module level, where it
+    would add about 12 ms to every import of the package.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(max_workers=n_workers,
+                               mp_context=multiprocessing.get_context(method))
+
+
+def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
+                  pool=None) -> ReceivedSignal:
     """Mean cumulative first-hitting fraction over all replications.
 
-    Bitwise deterministic for a fixed (seed, p, cfg) regardless of n_workers:
-    each replication owns an independent stream and the integer hit counts
-    are merged by order-free addition. Molecules still in flight at t_end are
-    discarded.
+    Replications run on ``pool`` when one is given; otherwise on a pool of
+    ``min(n_workers, n_replications)`` processes when that is more than one,
+    and in the calling thread when it is not. Bitwise deterministic for a
+    fixed (seed, p, cfg) whatever runs them: each replication owns an
+    independent stream and the integer hit counts are merged by order-free
+    addition. Molecules still in flight at t_end are discarded.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
+    if pool is None and n_workers > 1 and cfg.n_replications > 1:
+        with process_pool(min(n_workers, cfg.n_replications)) as own:
+            return simulate_case(p, cfg, pool=own)
     geom = build_geometry(p)
     sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
     seqs = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
             for r in range(cfg.n_replications)]
-    if n_workers > 1 and cfg.n_replications > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            all_hits = list(pool.map(
-                lambda s: _replication_hits(geom, cfg, sigma, s), seqs))
-    else:
+    if pool is None:
         all_hits = [_replication_hits(geom, cfg, sigma, s) for s in seqs]
+    else:
+        all_hits = list(pool.map(_replication_hits, repeat(geom), repeat(cfg),
+                                 repeat(sigma), seqs))
     total = np.sum(all_hits, axis=0, dtype=np.int64)
     fraction = np.cumsum(total) / float(cfg.n_emitted)
     return ReceivedSignal(cfg.grid, fraction, Source.SIMULATION).validate()

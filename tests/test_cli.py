@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcvd.pipeline
+import mcvd.simulate
 from mcvd.cli import (
     EXIT_MISSING_ARTIFACT,
     EXIT_NUMERIC,
@@ -18,6 +23,34 @@ from mcvd.types import NumericError
 
 def run_cli(*args):
     return main(list(args))
+
+
+# Stand-ins for the simulation kernel, defined at module level so that a
+# worker process can unpickle them. They misbehave for the validation case
+# d=11, r_tx=8, r_rx=8 (emission point 19 um from the origin), which no
+# training case shares.
+_REAL_HITS = mcvd.simulate._replication_hits
+_TEST_PID = os.getpid()
+
+
+def _is_bad_case(geom) -> bool:
+    if (geom.rx_radius, geom.tx_radius, float(geom.emission_point[0])) != (8.0, 8.0, 19.0):
+        return False
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("the kernel ran in the test process, not in a worker")
+    return True
+
+
+def _hits_numeric_failure(geom, cfg, sigma, seed_seq):
+    if _is_bad_case(geom):
+        raise NumericError("non-finite positions")
+    return _REAL_HITS(geom, cfg, sigma, seed_seq)
+
+
+def _hits_worker_dies(geom, cfg, sigma, seed_seq):
+    if _is_bad_case(geom):
+        os._exit(1)
+    return _REAL_HITS(geom, cfg, sigma, seed_seq)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +171,9 @@ class TestPipelineFailures:
 
     SMALL_RUN = ("--seed", "3", "--molecules", "50", "--replications", "1",
                  "--dt", "0.01", "--t-end", "0.2", "--hidden", "2", "--model", "primitive")
+    WORKER_RUN = ("--seed", "3", "--molecules", "150", "--replications", "2",
+                  "--dt", "0.005", "--t-end", "0.5", "--hidden", "4", "--model", "primitive",
+                  "--workers", "2")
 
     def test_cases_too_sparse_to_fit_exit_1(self, tmp_path, capsys):
         # 50 molecules over 20 bins leave the far cases with too few hits to fit
@@ -150,14 +186,14 @@ class TestPipelineFailures:
 
     @pytest.mark.parametrize("stage_fn", ["fit", "simulate_case"])
     def test_numeric_case_failure_exit_3(self, tmp_path, monkeypatch, stage_fn):
-        # one validation case fails numerically, in the fit or inside a worker
+        # one validation case fails numerically, in its fit or in its simulation
         real = getattr(mcvd.pipeline, stage_fn)
 
-        def failing_once(*args):
+        def failing_once(*args, **kwargs):
             p = args[0].params if stage_fn == "fit" else args[0]
             if (p.d, p.r_tx, p.r_rx) == (11.0, 8.0, 8.0):
                 raise NumericError("non-finite residuals")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(mcvd.pipeline, stage_fn, failing_once)
         code = run_cli("pipeline", "--out", str(tmp_path), "--seed", "3",
@@ -167,6 +203,38 @@ class TestPipelineFailures:
         assert code == EXIT_NUMERIC
         failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
         assert [(f["stage"], f["numeric"]) for f in failures] == [("phase1:VDS:primitive", True)]
+
+    def test_numeric_failure_in_worker_process_exit_3(self, tmp_path, monkeypatch):
+        # patched before the pool forks, so the workers run the stand-in
+        monkeypatch.setattr(mcvd.simulate, "_replication_hits", _hits_numeric_failure)
+        code = run_cli("pipeline", "--out", str(tmp_path), *self.WORKER_RUN)
+        assert code == EXIT_NUMERIC
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [(f["stage"], f["case"][:3], f["numeric"]) for f in manifest["failures"]] \
+            == [("phase1:VDS:primitive", ["11", "8", "8"], True)]
+        assert "non-finite positions" in manifest["failures"][0]["error"]
+
+    def test_worker_death_fails_cases_exit_1(self, tmp_path):
+        # run in a child interpreter, so that a hang fails by the timeout
+        here = Path(__file__).resolve().parent
+        script = ("import sys, mcvd.cli, mcvd.simulate, test_cli; "
+                  "mcvd.simulate._replication_hits = test_cli._hits_worker_dies; "
+                  "sys.exit(mcvd.cli.main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        proc = subprocess.run([sys.executable, "-c", script, "pipeline", "--out", str(tmp_path),
+                               *self.WORKER_RUN], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        failures = manifest["failures"]
+        # the dead worker fails its case and any case another worker had in flight
+        assert 1 <= len(failures) <= 2
+        assert ["11", "8", "8"] in [f["case"][:3] for f in failures]
+        assert all(f["stage"] == "phase1:VDS:primitive" and not f["numeric"]
+                   and "not in a worker" not in f["error"] for f in failures)
+        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
+        assert vds[-1]["failed"] == len(failures)
+        assert (tmp_path / "evaluation" / "rmse_groups.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exit_1(self, tmp_path, workers):

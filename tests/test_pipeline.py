@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +35,7 @@ from mcvd.pipeline import (
 from mcvd.simulate import simulate_case, case_seed
 from mcvd.network import train
 from test_network import small_fittable_dataset
+from test_simulate import RecordingPool
 
 
 def tiny_cfg(seed=0):
@@ -227,10 +231,10 @@ class TestPhase1:
         lost.unlink()
         real = mcvd.pipeline.simulate_case
 
-        def failing_for_d4(p, case_cfg):
+        def failing_for_d4(p, case_cfg, **kwargs):
             if p.d == 4.0:
                 raise NumericError("non-finite positions")
-            return real(p, case_cfg)
+            return real(p, case_cfg, **kwargs)
 
         # the rerun fails to simulate the case whose signal was deleted
         monkeypatch.setattr(mcvd.pipeline, "simulate_case", failing_for_d4)
@@ -248,6 +252,53 @@ class TestPhase1:
                 run_phase1(tiny_grid(), tiny_cfg(), ModelKind.ENHANCED, tmp_path,
                            n_workers=n_workers)
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_process_pool_capped_at_fresh_case_count(self, tmp_path, monkeypatch):
+        sizes = RecordingPool.install(monkeypatch)
+        grid = tiny_grid()
+        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "a", n_workers=8)
+        assert sizes == [2]
+        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "b", n_workers=10000)
+        assert sizes == [2, 2]
+        # a rerun with every signal on disk simulates nothing and opens no pool
+        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "b", n_workers=8)
+        assert sizes == [2, 2]
+        serial = run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "c")
+        assert sizes == [2, 2]
+        for f in sorted((tmp_path / "c" / "signals").iterdir()):
+            assert f.read_bytes() == (tmp_path / "a" / "signals" / f.name).read_bytes()
+        assert len(serial) == grid.case_count()
+
+    def test_workers_forked_before_dispatcher_threads_start(self, tmp_path, monkeypatch):
+        # forking a process that runs threads can deadlock the child; Python
+        # 3.12+ warns (DeprecationWarning) when it happens
+        threads_at_fork = []
+        real_fork = os.fork
+
+        def recording_fork():
+            threads_at_fork.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = run_phase1(tiny_grid(), tiny_cfg(), ModelKind.ENHANCED, tmp_path,
+                                 n_workers=2)
+        assert len(records) == 2
+        assert threads_at_fork == [before, before]
+
+    def test_stage_reports_duration_and_case_counts(self, tmp_path):
+        grid = tiny_grid()
+        cfg = tiny_cfg(seed=5)
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        (tmp_path / "signals" / f"sig_{case_key(grid.cases()[0], cfg)}.csv").unlink()
+        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        stages = RunManifest.load(tmp_path).stages
+        counts = [(s["name"], s["simulated"], s["resumed"], s["failed"]) for s in stages]
+        assert counts == [("phase1:TDS:enhanced", 2, 0, 0), ("phase1:TDS:enhanced", 1, 1, 0)]
+        assert all(isinstance(s["duration_s"], float) and s["duration_s"] >= 0.0
+                   for s in stages)
 
 
 class TestPhase2:

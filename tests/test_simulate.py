@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +25,23 @@ def small_cfg(seed=0, **kw):
                     seed=seed, substep_factor=1)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """Stand-in for ProcessPoolExecutor: records the worker count each pool
+    asks for and runs its tasks on one thread, starting no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=1)
+
+    @classmethod
+    def install(cls, monkeypatch) -> list:
+        cls.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cls)
+        return cls.sizes
 
 
 class TestGeometry:
@@ -111,7 +130,7 @@ class TestSimulateCase:
             with pytest.raises(ValidationError):
                 simulate_case(p, small_cfg(), n_workers=n_workers)
 
-    def test_thread_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self):
         p = SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0)
         cfg = small_cfg(seed=7, n_replications=8)
         serial = simulate_case(p, cfg, n_workers=1)
@@ -119,6 +138,17 @@ class TestSimulateCase:
         eight = simulate_case(p, cfg, n_workers=8)
         assert np.array_equal(serial.cumulative_fraction, two.cumulative_fraction)
         assert np.array_equal(serial.cumulative_fraction, eight.cumulative_fraction)
+
+    def test_replication_pool_capped_at_replication_count(self, monkeypatch):
+        sizes = RecordingPool.install(monkeypatch)
+        p = SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0)
+        cfg = small_cfg(seed=7)
+        serial = simulate_case(p, cfg)
+        assert sizes == []
+        for n_workers in (2, 8, 10000):
+            pooled = simulate_case(p, cfg, n_workers=n_workers)
+            assert np.array_equal(pooled.cumulative_fraction, serial.cumulative_fraction)
+        assert sizes == [2, 3, 3]
 
     def test_point_transmitter_tracks_analytic_formula(self):
         # quick convergence check; the acceptance suite runs the full-size one.
