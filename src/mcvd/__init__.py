@@ -5,17 +5,16 @@ and an absorbing spherical receiver, fits closed-form channel models to the
 simulated received signal, and trains a small network to predict the model
 coefficients directly from system parameters.
 """
-from .analysis import RmseGroup, evaluate_vds, export_curves, rmse, spearman
+from .analysis import RmseGroup, evaluate_vds, export_curves, rmse
 from .channel import (
     erfc,
-    model_hit_fraction,
     point_hit_fraction,
     sample_model,
     sample_point_formula,
     sir_curve,
 )
-from .fitting import FitProblem, FitResult, default_problem, fit, jacobian_check
-from .network import CaseRecord, Network, TrainReport, forward, gradient_check, train
+from .fitting import FitProblem, FitResult, fit
+from .network import CaseRecord, Network, TrainReport, forward, train
 from .pipeline import (
     ParameterGrid,
     RunManifest,
@@ -33,7 +32,6 @@ from .types import (
     NumericError,
     Provenance,
     ReceivedSignal,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,

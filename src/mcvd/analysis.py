@@ -28,7 +28,6 @@ __all__ = [
     "rmse",
     "evaluate_vds",
     "export_curves",
-    "spearman",
 ]
 
 # method labels used in group tables and export file names
@@ -179,30 +178,3 @@ def export_curves(p: SystemParams, sim: ReceivedSignal,
                x_label="time [s]", y_label="SIR", path=chart_sir2)
     written.append(chart_sir2)
     return written
-
-
-def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise ValidationError("spearman needs two equal-length sequences, n >= 2")
-
-    def ranks(v: np.ndarray) -> np.ndarray:
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size)
-        r[order] = np.arange(1, v.size + 1, dtype=float)
-        for val in np.unique(v):
-            mask = v == val
-            if np.count_nonzero(mask) > 1:
-                r[mask] = r[mask].mean()
-        return r
-
-    rx = ranks(x)
-    ry = ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt((rx @ rx) * (ry @ ry))
-    if denom == 0:
-        return 0.0
-    return float((rx @ ry) / denom)

@@ -18,7 +18,6 @@ from .types import (
     ModelKind,
     ModelParams,
     ReceivedSignal,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,
@@ -27,7 +26,6 @@ from .types import (
 __all__ = [
     "erfc",
     "point_hit_fraction",
-    "model_hit_fraction",
     "sample_model",
     "sir_curve",
 ]
@@ -81,22 +79,14 @@ def point_hit_fraction(p: SystemParams, t: float) -> float:
     return float(_point_curve(p, np.array([t]))[0])
 
 
-def model_hit_fraction(p: SystemParams, m: ModelParams, t: float) -> float:
-    """Primitive or enhanced model value at time t (0 at t = 0)."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    return float(_model_curve(p, m, np.array([t]))[0])
-
-
 def sample_model(p: SystemParams, m: ModelParams, grid: TimeGrid) -> ReceivedSignal:
     """Evaluate a model at the grid's bin-end times."""
-    source = Source.PRIMITIVE_MODEL if m.kind is ModelKind.PRIMITIVE else Source.ENHANCED_MODEL
-    return ReceivedSignal(grid, _model_curve(p, m, grid.times()), source)
+    return ReceivedSignal(grid, _model_curve(p, m, grid.times()))
 
 
 def sample_point_formula(p: SystemParams, grid: TimeGrid) -> ReceivedSignal:
     """Evaluate the point-transmitter formula at the grid's bin-end times."""
-    return ReceivedSignal(grid, _point_curve(p, grid.times()), Source.POINT_FORMULA)
+    return ReceivedSignal(grid, _point_curve(p, grid.times()))
 
 
 def sir_curve(sig: ReceivedSignal, reference_end: float | None = None) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pipeline
-from .fitting import default_problem, fit
+from .fitting import FitProblem, fit
 from .network import CaseRecord
 from .pipeline import (
     RunManifest,
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     sig = read_signal_csv(Path(args.signal))
-    result = fit(default_problem(_case(args), sig, ModelKind(args.model)))
+    result = fit(FitProblem(_case(args), sig, ModelKind(args.model)))
     rec = CaseRecord(_case(args), result.model, Provenance.TDS)
     coeffs = ", ".join(f"{c:.8g}" for c in result.model.coefficients())
     print(f"fit {args.model}: b = ({coeffs}), rss = {result.rss:.6e}, "
@@ -174,14 +174,20 @@ def _vds_artifacts(run_dir: Path, cfg) -> tuple[list, list, list]:
     return sims, fit_records, ann_records
 
 
+def _evaluate(run_dir: Path, cfg, out: Path) -> list:
+    """Grouped RMSE of the run's VDS fits and predictions, written to out."""
+    sims, fit_records, ann_records = _vds_artifacts(run_dir, cfg)
+    groups = analysis.evaluate_vds(sims, fit_records, ann_records, cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    analysis.write_groups_csv(groups, out)
+    return groups
+
+
 def _cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
     manifest, cfg = _load_run(run_dir)
-    sims, fit_records, ann_records = _vds_artifacts(run_dir, cfg)
-    groups = analysis.evaluate_vds(sims, fit_records, ann_records, cfg)
     out = Path(args.out) if args.out else run_dir / "evaluation" / "rmse_groups.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    analysis.write_groups_csv(groups, out)
+    groups = _evaluate(run_dir, cfg, out)
     print(f"{len(groups)} (d, r_rx) groups -> {out}")
     for g in groups:
         cells = ", ".join(f"{m}={v:.2f}" for m, v in g.mean_rmse.items())
@@ -222,6 +228,7 @@ def _cmd_pipeline(args) -> int:
         tds_grid, vds_grid = reduced_grids()
     kinds = [ModelKind.PRIMITIVE, ModelKind.ENHANCED] if args.model == "both" \
         else [ModelKind(args.model)]
+    n_vds = 0
     for kind in kinds:
         tds_records = run_phase1(tds_grid, cfg, kind, out_dir, n_workers=args.workers)
         print(f"phase1 TDS {kind.value}: {len(tds_records)} records")
@@ -230,19 +237,19 @@ def _cmd_pipeline(args) -> int:
         print(f"phase2 {kind.value}: epochs={report.epochs} E_D={report.e_d:.3e}")
         vds_records = run_phase1(vds_grid, cfg, kind, out_dir, n_workers=args.workers)
         print(f"phase1 VDS {kind.value}: {len(vds_records)} records")
+        n_vds += len(vds_records)
         predictions = predict_vds(net, [r.input for r in vds_records])
         write_records_csv(predictions, out_dir / f"predictions_{kind.value}.csv")
-    t0 = time.perf_counter()
-    sims, fit_records, ann_records = _vds_artifacts(out_dir, cfg)
-    groups = analysis.evaluate_vds(sims, fit_records, ann_records, cfg)
-    eval_path = out_dir / "evaluation" / "rmse_groups.csv"
-    eval_path.parent.mkdir(parents=True, exist_ok=True)
-    analysis.write_groups_csv(groups, eval_path)
     manifest = RunManifest.load(out_dir)
-    manifest.add_stage("evaluate", time.perf_counter() - t0)
-    manifest.add_artifact("rmse_groups", "evaluation/rmse_groups.csv")
-    manifest.save(out_dir)
-    print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
+    # with every VDS case failed there is nothing to evaluate, only failures to report
+    if n_vds:
+        t0 = time.perf_counter()
+        eval_path = out_dir / "evaluation" / "rmse_groups.csv"
+        groups = _evaluate(out_dir, cfg, eval_path)
+        manifest.add_stage("evaluate", time.perf_counter() - t0)
+        manifest.add_artifact("rmse_groups", "evaluation/rmse_groups.csv")
+        manifest.save(out_dir)
+        print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
     if manifest.failures:
         print(f"error: {len(manifest.failures)} failed cases; see 'failures' in "
               f"{RunManifest.path_in(out_dir)}", file=sys.stderr)

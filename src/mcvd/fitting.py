@@ -2,10 +2,13 @@
 simulated received signal, via damped Gauss-Newton (Levenberg-Marquardt).
 
 The residual is F_model(t_k; b) - S(t_k) over the grid's bin-end times, with
-analytic Jacobians for both model kinds. Steps are clipped to the coefficient
-bounds and additionally capped per coordinate at a quarter of the bound range
-per iteration; without that cap the solver can overshoot into a far corner of
-the box and then crawl along a curved valley for hundreds of iterations.
+analytic Jacobians for both model kinds. Every fit starts from the
+point-transmitter identity, b1 = 1 (and b2 = b3 = 0.5 for the enhanced
+model), which lies inside the fixed coefficient bounds. Steps are clipped to
+the bounds and additionally capped per coordinate at a quarter of the bound
+range per iteration; without that cap the solver can overshoot into a far
+corner of the box and then crawl along a curved valley for hundreds of
+iterations.
 """
 from __future__ import annotations
 
@@ -27,10 +30,8 @@ from .types import (
 __all__ = [
     "FitProblem",
     "FitResult",
-    "default_problem",
     "default_bounds",
     "fit",
-    "jacobian_check",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -40,6 +41,7 @@ _SQRT_PI = math.sqrt(math.pi)
 BOUNDS_B1 = (0.1, 5.0)
 BOUNDS_B2 = (0.05, 1.5)
 BOUNDS_B3 = (0.05, 1.5)
+START_POINTS = {ModelKind.PRIMITIVE: (1.0,), ModelKind.ENHANCED: (1.0, 0.5, 0.5)}
 
 LAMBDA_INIT_FACTOR = 1e-3     # scaled by max diag of J^T J at the start
 LAMBDA_MIN = 1e-12
@@ -61,26 +63,15 @@ class FitProblem:
     params: SystemParams
     target: ReceivedSignal
     kind: ModelKind
-    initial_guess: ModelParams
-    bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         self.kind = ModelKind(self.kind)
-        if self.initial_guess.kind is not self.kind:
-            raise ValidationError("initial guess kind does not match problem kind")
         if np.count_nonzero(self.target.cumulative_fraction) < 10:
             raise ValidationError("target needs at least 10 nonzero bins to fit")
-        guess = self.initial_guess.coefficients()
-        lo, hi = self._bound_arrays()
-        if len(self.bounds) != guess.size:
-            raise ValidationError("one bound interval required per coefficient")
-        if np.any(guess < lo) or np.any(guess > hi):
-            raise ValidationError("initial guess must lie within bounds")
 
-    def _bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([b[0] for b in self.bounds], dtype=float)
-        hi = np.array([b[1] for b in self.bounds], dtype=float)
-        return lo, hi
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return default_bounds(self.kind)
 
 
 @dataclass
@@ -89,17 +80,6 @@ class FitResult:
     rss: float
     n_iterations: int
     converged: bool
-    final_lambda: float
-
-
-def default_problem(p: SystemParams, target: ReceivedSignal, kind: ModelKind) -> FitProblem:
-    """Standard problem: start from the point-transmitter identity."""
-    kind = ModelKind(kind)
-    if kind is ModelKind.PRIMITIVE:
-        guess = ModelParams(kind, 1.0)
-    else:
-        guess = ModelParams(kind, 1.0, 0.5, 0.5)
-    return FitProblem(p, target, kind, guess, default_bounds(kind))
 
 
 def _curve_and_jacobian(p: SystemParams, kind: ModelKind, coeffs: np.ndarray,
@@ -138,16 +118,18 @@ def fit(problem: FitProblem) -> FitResult:
     """
     times = problem.target.grid.times()
     target = problem.target.cumulative_fraction
-    lo, hi = problem._bound_arrays()
+    lo, hi = np.array(problem.bounds).T
     cap = STEP_CAP_FRACTION * (hi - lo)
-    x = problem.initial_guess.coefficients()
+    x = np.array(START_POINTS[problem.kind])
 
-    def residual(c: np.ndarray) -> np.ndarray:
-        return _curve_and_jacobian(problem.params, problem.kind, c, times)[0] - target
+    def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual and Jacobian at c, from one evaluation of the model."""
+        f, jac = _curve_and_jacobian(problem.params, problem.kind, c, times)
+        return f - target, jac
 
-    resid = residual(x)
+    resid, jac = evaluate(x)
     if not np.all(np.isfinite(resid)):
-        raise NumericError("non-finite residuals at the initial guess")
+        raise NumericError("non-finite residuals at the start point")
     rss = float(resid @ resid)
     lam = 0.0
     lam_floor_set = False
@@ -156,8 +138,7 @@ def fit(problem: FitProblem) -> FitResult:
     eye = np.eye(x.size)
     for _ in range(MAX_ITERATIONS):
         n_iter += 1
-        f, jac = _curve_and_jacobian(problem.params, problem.kind, x, times)
-        grad = 2.0 * (jac.T @ (f - target))
+        grad = 2.0 * (jac.T @ resid)
         proj = grad.copy()
         proj[np.isclose(x, lo) & (proj > 0)] = 0.0
         proj[np.isclose(x, hi) & (proj < 0)] = 0.0
@@ -180,14 +161,14 @@ def fit(problem: FitProblem) -> FitResult:
             if was_capped:
                 delta = delta / over
             x_new = np.clip(x + delta, lo, hi)
-            r_new = residual(x_new)
+            r_new, jac_new = evaluate(x_new)
             rss_new = float(r_new @ r_new)
             if np.isfinite(rss_new) and rss_new < rss:
                 rel_drop = (rss - rss_new) / max(rss, 1e-300)
                 step = x_new - x
                 predicted = -(step @ grad + step @ (jtj @ step))
                 gain = (rss - rss_new) / predicted if predicted > 0 else 1.0
-                x, resid, rss = x_new, r_new, rss_new
+                x, resid, jac, rss = x_new, r_new, jac_new, rss_new
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 accepted = True
                 # a tiny improvement only counts as convergence when the step
@@ -203,38 +184,4 @@ def fit(problem: FitProblem) -> FitResult:
         if converged:
             break
     model = ModelParams.from_coefficients(problem.kind, x)
-    return FitResult(model=model, rss=rss, n_iterations=n_iter,
-                     converged=converged, final_lambda=min(lam, LAMBDA_MAX))
-
-
-def jacobian_check(p: SystemParams, kind: ModelKind, coeffs,
-                   times: np.ndarray | None = None) -> float:
-    """Max masked relative deviation of the analytic Jacobian from central
-    finite differences with step 1e-6 * max(1, |b_i|).
-
-    Entries below 1e-3 of the Jacobian's overall scale are excluded: there
-    the central difference is dominated by rounding (eps * f / h ~ 1e-10
-    absolute), while entries that small carry under 1e-6 relative weight in
-    the normal equations. Genuine defects show up at full scale.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    kind = ModelKind(kind)
-    if times is None:
-        times = np.arange(1, 1001) * 1e-3
-    _, analytic = _curve_and_jacobian(p, kind, coeffs, times)
-    numeric = np.empty_like(analytic)
-    for i in range(coeffs.size):
-        h = 1e-6 * max(1.0, abs(coeffs[i]))
-        up = coeffs.copy()
-        up[i] += h
-        dn = coeffs.copy()
-        dn[i] -= h
-        f_up, _ = _curve_and_jacobian(p, kind, up, times)
-        f_dn, _ = _curve_and_jacobian(p, kind, dn, times)
-        numeric[:, i] = (f_up - f_dn) / (2.0 * h)
-    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-300)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    mask = denom > 1e-3 * scale
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(analytic[mask] - numeric[mask]) / denom[mask]))
+    return FitResult(model=model, rss=rss, n_iterations=n_iter, converged=converged)

@@ -30,7 +30,6 @@ __all__ = [
     "TrainReport",
     "train",
     "forward",
-    "gradient_check",
 ]
 
 logger = logging.getLogger(__name__)
@@ -305,34 +304,3 @@ def forward(net: Network, p: SystemParams) -> ModelParams:
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     return ModelParams.from_coefficients(net.kind, np.clip(out, lo, hi))
-
-
-def gradient_check(net: Network, record: CaseRecord) -> float:
-    """Max masked relative deviation between the analytic Jacobian of the
-    normalized network outputs w.r.t. the weights and central finite
-    differences with step 1e-6.
-
-    Entries below 1e-3 of the Jacobian's overall magnitude are excluded:
-    there the comparison would measure finite-difference rounding, not the
-    backward pass. A wrong backward pass shows up at full scale.
-    """
-    x_scaled = net.normalize_inputs(_params_as_row(record.input)[None, :])
-    analytic = _output_jacobian(net, x_scaled)
-    w0 = net.flat_weights()
-    numeric = np.empty_like(analytic)
-    h = 1e-6
-    for i in range(w0.size):
-        wp = w0.copy(); wp[i] += h
-        wm = w0.copy(); wm[i] -= h
-        net.set_flat_weights(wp)
-        y_up = _forward_scaled(net, x_scaled).ravel()
-        net.set_flat_weights(wm)
-        y_dn = _forward_scaled(net, x_scaled).ravel()
-        numeric[:, i] = (y_up - y_dn) / (2.0 * h)
-    net.set_flat_weights(w0)
-    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-300)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    mask = denom > 1e-3 * scale
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(analytic[mask] - numeric[mask]) / denom[mask]))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import default_problem, fit
+from .fitting import FitProblem, fit
 from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
 from .simulate import SIM_VERSION, SimConfig, case_seed, process_pool, simulate_case
 from .types import (
@@ -34,7 +34,6 @@ from .types import (
     NumericError,
     Provenance,
     ReceivedSignal,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,
@@ -168,7 +167,7 @@ def write_signal_csv(sig: ReceivedSignal, path: Path) -> None:
     _atomic_write(Path(path), signal_csv_text(sig))
 
 
-def read_signal_csv(path: Path, source: Source = Source.SIMULATION) -> ReceivedSignal:
+def read_signal_csv(path: Path) -> ReceivedSignal:
     path = Path(path)
     rows = _read_text(path).strip().split("\n")
     if rows[0] != "time_s,cumulative_fraction":
@@ -188,7 +187,7 @@ def read_signal_csv(path: Path, source: Source = Source.SIMULATION) -> ReceivedS
     grid = TimeGrid(dt=times[0], t_end=times[-1])
     if times.size != grid.n_bins or not np.all(np.abs(times - grid.times()) <= 1e-9 * grid.t_end):
         raise ValidationError(f"signal times in {path} are not evenly spaced")
-    return ReceivedSignal(grid, np.asarray(values), source)
+    return ReceivedSignal(grid, np.asarray(values))
 
 
 def _record_row(rec: CaseRecord) -> str:
@@ -220,10 +219,10 @@ def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
             d, rtx, rrx, dc, kind, b1, b2, b3 = row.split(",")
             params = SystemParams(d=float(d), r_tx=float(rtx), r_rx=float(rrx),
                                   diff_coeff=float(dc))
-            if ModelKind(kind) is ModelKind.PRIMITIVE:
-                model = ModelParams(ModelKind.PRIMITIVE, float(b1))
-            else:
-                model = ModelParams(ModelKind.ENHANCED, float(b1), float(b2), float(b3))
+            # empty exponents are None, so ModelParams rejects a primitive row
+            # that carries them and an enhanced row that lacks them
+            model = ModelParams(ModelKind(kind), float(b1), float(b2) if b2 else None,
+                                float(b3) if b3 else None)
         except ValueError as exc:
             raise ValidationError(f"malformed record row {row!r} in {path}: {exc}") from exc
         records.append(CaseRecord(params, model, provenance))
@@ -433,7 +432,7 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     for p, outcome in zip(cases, outcomes):
         if isinstance(outcome, ReceivedSignal):
             try:
-                records.append(CaseRecord(p, fit(default_problem(p, outcome, kind)).model,
+                records.append(CaseRecord(p, fit(FitProblem(p, outcome, kind)).model,
                                           grid.label))
                 continue
             except Exception as exc:

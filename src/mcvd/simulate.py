@@ -43,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .types import ReceivedSignal, Source, SystemParams, TimeGrid, ValidationError
+from .types import ReceivedSignal, SystemParams, TimeGrid, ValidationError
 
 __all__ = [
     "SimConfig",
@@ -230,7 +230,7 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
                                  repeat(sigma), seqs))
     total = np.sum(all_hits, axis=0, dtype=np.int64)
     fraction = np.cumsum(total) / float(cfg.n_emitted)
-    return ReceivedSignal(cfg.grid, fraction, Source.SIMULATION).validate()
+    return ReceivedSignal(cfg.grid, fraction).validate()
 
 
 def case_seed(master_seed: int, p: SystemParams) -> int:

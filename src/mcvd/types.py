@@ -17,7 +17,6 @@ __all__ = [
     "MissingArtifactError",
     "NumericError",
     "ModelKind",
-    "Source",
     "Provenance",
     "SystemParams",
     "ModelParams",
@@ -41,14 +40,6 @@ class NumericError(ArithmeticError):
 class ModelKind(str, Enum):
     PRIMITIVE = "primitive"
     ENHANCED = "enhanced"
-
-
-class Source(str, Enum):
-    SIMULATION = "simulation"
-    POINT_FORMULA = "point_formula"
-    PRIMITIVE_MODEL = "primitive_model"
-    ENHANCED_MODEL = "enhanced_model"
-    ANN_PREDICTION = "ann_prediction"
 
 
 class Provenance(str, Enum):
@@ -185,10 +176,8 @@ class ReceivedSignal:
 
     grid: TimeGrid
     cumulative_fraction: np.ndarray
-    source: Source
 
     def __post_init__(self) -> None:
-        self.source = Source(self.source)
         values = np.asarray(self.cumulative_fraction, dtype=float)
         if values.ndim != 1 or values.size != self.grid.n_bins:
             raise ValidationError(

@@ -11,26 +11,22 @@ import pytest
 
 from mcvd import (
     CaseRecord,
+    FitProblem,
     ModelKind,
     ModelParams,
     Provenance,
     ReceivedSignal,
     SimConfig,
-    Source,
     SystemParams,
     TimeGrid,
-    default_problem,
     fit,
     forward,
-    gradient_check,
-    jacobian_check,
     point_hit_fraction,
     rmse,
     run_phase1,
     run_phase2,
     sample_model,
     simulate_case,
-    spearman,
     study_grids,
     train,
 )
@@ -38,6 +34,7 @@ from mcvd.channel import erfc
 from mcvd.pipeline import ParameterGrid
 from mcvd.simulate import case_seed
 
+from checks import gradient_check, jacobian_check, spearman
 from erfc_oracle import ERFC_TABLE
 from test_network import random_network
 
@@ -105,7 +102,7 @@ def test_criterion_3_fitter_recovery():
     for _ in range(50):
         truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
         target = sample_model(p, truth, grid)
-        got = fit(default_problem(p, target, ModelKind.ENHANCED)).model
+        got = fit(FitProblem(p, target, ModelKind.ENHANCED)).model
         rel = np.max(np.abs(got.coefficients() - truth.coefficients())
                      / truth.coefficients())
         noiseless_ok += rel <= 1e-4
@@ -114,9 +111,8 @@ def test_criterion_3_fitter_recovery():
     for _ in range(50):
         truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
         clean = sample_model(p, truth, grid).cumulative_fraction
-        noisy = ReceivedSignal(grid, clean + rng.normal(0.0, 0.003, clean.size),
-                               Source.SIMULATION)
-        got = fit(default_problem(p, noisy, ModelKind.ENHANCED)).model
+        noisy = ReceivedSignal(grid, clean + rng.normal(0.0, 0.003, clean.size))
+        got = fit(FitProblem(p, noisy, ModelKind.ENHANCED)).model
         rel = np.max(np.abs(got.coefficients() - truth.coefficients())
                      / truth.coefficients())
         noisy_ok += rel <= 5e-2
@@ -140,9 +136,9 @@ def test_criterion_4_model_ordering():
     wins = 0
     for p, sig in zip(cases, sims):
         r_enh = rmse(sig, sample_model(
-            p, fit(default_problem(p, sig, ModelKind.ENHANCED)).model, grid), 3000)
+            p, fit(FitProblem(p, sig, ModelKind.ENHANCED)).model, grid), 3000)
         r_prim = rmse(sig, sample_model(
-            p, fit(default_problem(p, sig, ModelKind.PRIMITIVE)).model, grid), 3000)
+            p, fit(FitProblem(p, sig, ModelKind.PRIMITIVE)).model, grid), 3000)
         wins += r_enh < r_prim
     ok = wins == len(cases)
     report(4, ok, f"enhanced fit beats primitive fit in {wins}/{len(cases)} cases (need 8/8)")
@@ -186,7 +182,7 @@ def generalization_run(tmp_path_factory):
     for p in vds_grid.cases():
         sig = simulate_grid_case(p, vds_cfg)
         fit_sig = simulate_grid_case(p, fit_cfg)
-        b_fit = fit(default_problem(p, fit_sig, ModelKind.ENHANCED)).model
+        b_fit = fit(FitProblem(p, fit_sig, ModelKind.ENHANCED)).model
         r_fit = rmse(sig, sample_model(p, b_fit, grid), 3000)
         r_ann = rmse(sig, sample_model(p, forward(net, p), grid), 3000)
         rows.append((p, sig, r_fit, r_ann))

@@ -8,7 +8,6 @@ from mcvd import (
     Provenance,
     ReceivedSignal,
     SimConfig,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,
@@ -16,9 +15,10 @@ from mcvd import (
     export_curves,
     rmse,
     sample_model,
-    spearman,
 )
 from mcvd.types import MissingArtifactError
+
+from checks import spearman
 
 GRID = TimeGrid(1e-2, 0.5)
 
@@ -26,7 +26,7 @@ GRID = TimeGrid(1e-2, 0.5)
 def sig(values, grid=None):
     values = np.asarray(values, dtype=float)
     g = grid or TimeGrid(1.0, float(len(values)))
-    return ReceivedSignal(g, values, Source.SIMULATION)
+    return ReceivedSignal(g, values)
 
 
 class TestRmse:
@@ -76,7 +76,7 @@ def _vds_setup(n_per_group=2):
                 truth = ModelParams(ModelKind.ENHANCED, 1.1, 0.52, 0.55)
                 clean = sample_model(p, truth, GRID).cumulative_fraction
                 noisy = np.clip(clean + rng.normal(0, 5e-4, clean.size), 0, 1)
-                sims.append((p, ReceivedSignal(GRID, noisy, Source.SIMULATION)))
+                sims.append((p, ReceivedSignal(GRID, noisy)))
                 fits.append(CaseRecord(p, truth, Provenance.VDS))
                 fits.append(CaseRecord(p, ModelParams(ModelKind.PRIMITIVE, 1.05),
                                        Provenance.VDS))
@@ -139,8 +139,7 @@ class TestEvaluateFullGrid:
         fits = []
         for p in vds.cases():
             curve = sample_model(p, truth, GRID)
-            sims.append((p, ReceivedSignal(GRID, curve.cumulative_fraction,
-                                           Source.SIMULATION)))
+            sims.append((p, ReceivedSignal(GRID, curve.cumulative_fraction)))
             fits.append(CaseRecord(p, truth, Provenance.VDS))
         groups = evaluate_vds(sims, fits, [], cfg)
         assert len(groups) == 15  # 5 distances x 3 receiver radii
@@ -156,7 +155,7 @@ class TestExportCurves:
         for d in (5.0, 7.0, 9.0):
             p = SystemParams(d=d, r_tx=4.0, r_rx=8.0, diff_coeff=80.0)
             curve = sample_model(p, truth, GRID)
-            sim = ReceivedSignal(GRID, curve.cumulative_fraction, Source.SIMULATION)
+            sim = ReceivedSignal(GRID, curve.cumulative_fraction)
             out = tmp_path / f"d{d:.0f}"
             export_curves(p, sim, {"enhanced_fit": truth}, out)
             bundles.append(out)
@@ -169,7 +168,7 @@ class TestExportCurves:
         p = SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0)
         truth = ModelParams(ModelKind.ENHANCED, 1.05, 0.5, 0.53)
         sim = sample_model(p, truth, GRID)
-        sim = ReceivedSignal(GRID, sim.cumulative_fraction, Source.SIMULATION)
+        sim = ReceivedSignal(GRID, sim.cumulative_fraction)
         models = {
             "enhanced_fit": truth,
             "primitive_fit": ModelParams(ModelKind.PRIMITIVE, 1.02),

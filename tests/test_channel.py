@@ -7,18 +7,17 @@ from mcvd import (
     ModelKind,
     ModelParams,
     ReceivedSignal,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,
     erfc,
-    model_hit_fraction,
     point_hit_fraction,
     sample_model,
     sample_point_formula,
     sir_curve,
 )
 
+from checks import model_hit_fraction
 from erfc_oracle import ERFC_0_2, ERFC_TABLE
 
 
@@ -153,7 +152,7 @@ class TestSampleModel:
 class TestSirCurve:
     def _signal(self, values):
         grid = TimeGrid(dt=1.0, t_end=float(len(values)))
-        return ReceivedSignal(grid, np.asarray(values, dtype=float), Source.SIMULATION)
+        return ReceivedSignal(grid, np.asarray(values, dtype=float))
 
     def test_half_of_final_gives_one(self):
         sir = sir_curve(self._signal([0.2, 0.4]))
@@ -222,14 +221,14 @@ class TestTimeGrid:
 class TestReceivedSignal:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.1]), Source.SIMULATION)
+            ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.1]))
 
     def test_validate_flags_decreasing(self):
-        sig = ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.4, 0.2]), Source.SIMULATION)
+        sig = ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.4, 0.2]))
         with pytest.raises(ValidationError):
             sig.validate()
 
     def test_validate_flags_out_of_range(self):
-        sig = ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.4, 1.2]), Source.SIMULATION)
+        sig = ReceivedSignal(TimeGrid(0.5, 1.0), np.array([0.4, 1.2]))
         with pytest.raises(ValidationError):
             sig.validate()

@@ -27,14 +27,15 @@ def run_cli(*args):
 
 # Stand-ins for the simulation kernel, defined at module level so that a
 # worker process can unpickle them. They misbehave for the validation case
-# d=11, r_tx=8, r_rx=8 (emission point 19 um from the origin), which no
-# training case shares.
+# BAD_CASE = (r_rx, r_tx, emission point's distance from the origin), by
+# default d=11, r_tx=8, r_rx=8, which no training case shares.
 _REAL_HITS = mcvd.simulate._replication_hits
 _TEST_PID = os.getpid()
+BAD_CASE = (8.0, 8.0, 19.0)
 
 
 def _is_bad_case(geom) -> bool:
-    if (geom.rx_radius, geom.tx_radius, float(geom.emission_point[0])) != (8.0, 8.0, 19.0):
+    if (geom.rx_radius, geom.tx_radius, float(geom.emission_point[0])) != BAD_CASE:
         return False
     if os.getpid() == _TEST_PID:
         raise AssertionError("the kernel ran in the test process, not in a worker")
@@ -214,10 +215,20 @@ class TestPipelineFailures:
             == [("phase1:VDS:primitive", ["11", "8", "8"], True)]
         assert "non-finite positions" in manifest["failures"][0]["error"]
 
-    def test_worker_death_fails_cases_exit_1(self, tmp_path):
+    # the case whose worker dies as BAD_CASE and as (d, r_tx, r_rx), the
+    # number of failures expected, and whether any VDS case is left to evaluate
+    @pytest.mark.parametrize("bad_case, case, n_failed, evaluated", [
+        # the dead worker fails its case and any case another worker had in flight
+        pytest.param(BAD_CASE, ["11", "8", "8"], (1, 2), True, id="d11_rtx8_rrx8"),
+        # the first VDS case: the broken pool fails all 12 before any finishes
+        pytest.param((4.0, 4.0, 7.0), ["3", "4", "4"], (12, 12), False, id="d3_rtx4_rrx4"),
+    ])
+    def test_worker_death_fails_cases_exit_1(self, tmp_path, bad_case, case, n_failed,
+                                             evaluated):
         # run in a child interpreter, so that a hang fails by the timeout
         here = Path(__file__).resolve().parent
         script = ("import sys, mcvd.cli, mcvd.simulate, test_cli; "
+                  f"test_cli.BAD_CASE = {bad_case!r}; "
                   "mcvd.simulate._replication_hits = test_cli._hits_worker_dies; "
                   "sys.exit(mcvd.cli.main(sys.argv[1:]))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
@@ -227,14 +238,13 @@ class TestPipelineFailures:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         failures = manifest["failures"]
-        # the dead worker fails its case and any case another worker had in flight
-        assert 1 <= len(failures) <= 2
-        assert ["11", "8", "8"] in [f["case"][:3] for f in failures]
+        assert n_failed[0] <= len(failures) <= n_failed[1]
+        assert case in [f["case"][:3] for f in failures]
         assert all(f["stage"] == "phase1:VDS:primitive" and not f["numeric"]
                    and "not in a worker" not in f["error"] for f in failures)
         vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
         assert vds[-1]["failed"] == len(failures)
-        assert (tmp_path / "evaluation" / "rmse_groups.csv").exists()
+        assert (tmp_path / "evaluation" / "rmse_groups.csv").exists() == evaluated
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exit_1(self, tmp_path, workers):
@@ -342,6 +352,16 @@ class TestCorruptedArtifacts:
         (tmp / "records.csv").write_text(data.draw(corrupted_csv(original)))
         assert run_cli("train", "--records", str(tmp / "records.csv"),
                        "--out", str(tmp / "out")) == EXIT_VALIDATION
+
+    def test_primitive_record_with_exponents(self, tmp_path):
+        # ten well-formed rows, enough to train on: only the last row can fail
+        rows = "".join(f"{d},5,5,50,primitive,1.1,,\n" for d in range(1, 11))
+        path = tmp_path / "records.csv"
+        path.write_text("d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3\n" + rows
+                        + "11,5,5,50,primitive,1.1,0.5,0.5\n")
+        assert run_cli("train", "--records", str(path), "--model", "primitive",
+                       "--out", str(tmp_path / "out")) == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
 
     @given(data=st.data())
     @CORRUPTION

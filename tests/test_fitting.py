@@ -6,16 +6,15 @@ from mcvd import (
     ModelKind,
     ModelParams,
     ReceivedSignal,
-    Source,
     SystemParams,
     TimeGrid,
     ValidationError,
-    default_problem,
     fit,
-    jacobian_check,
     sample_model,
 )
-from mcvd.fitting import BOUNDS_B1, BOUNDS_B2, BOUNDS_B3
+from mcvd.fitting import BOUNDS_B1, BOUNDS_B2, BOUNDS_B3, START_POINTS
+
+from checks import jacobian_check
 
 GRID = TimeGrid(1e-3, 1.0)
 
@@ -32,34 +31,34 @@ def params():
 class TestDefaultProblem:
     def test_primitive_guess(self, params):
         target = make_target(params, ModelParams(ModelKind.PRIMITIVE, 1.2))
-        prob = default_problem(params, target, ModelKind.PRIMITIVE)
-        assert prob.initial_guess.coefficients().tolist() == [1.0]
+        prob = FitProblem(params, target, ModelKind.PRIMITIVE)
+        assert START_POINTS[prob.kind] == (1.0,)
         assert len(prob.bounds) == 1
 
     def test_enhanced_guess_is_point_identity(self, params):
         target = make_target(params, ModelParams(ModelKind.ENHANCED, 1.0, 0.5, 0.5))
-        prob = default_problem(params, target, ModelKind.ENHANCED)
-        assert prob.initial_guess.coefficients().tolist() == [1.0, 0.5, 0.5]
+        prob = FitProblem(params, target, ModelKind.ENHANCED)
+        assert START_POINTS[prob.kind] == (1.0, 0.5, 0.5)
+        assert len(prob.bounds) == 3
 
     def test_bounds_contain_guess(self, params):
         target = make_target(params, ModelParams(ModelKind.ENHANCED, 1.0, 0.5, 0.5))
         for kind in ModelKind:
-            prob = default_problem(params, target, kind)
-            g = prob.initial_guess.coefficients()
-            for v, (lo, hi) in zip(g, prob.bounds):
+            prob = FitProblem(params, target, kind)
+            for v, (lo, hi) in zip(START_POINTS[kind], prob.bounds, strict=True):
                 assert lo <= v <= hi
 
     def test_too_few_nonzero_bins_rejected(self, params):
-        sig = ReceivedSignal(TimeGrid(0.1, 1.5), np.zeros(15), Source.SIMULATION)
+        sig = ReceivedSignal(TimeGrid(0.1, 1.5), np.zeros(15))
         with pytest.raises(ValidationError):
-            default_problem(params, sig, ModelKind.PRIMITIVE)
+            FitProblem(params, sig, ModelKind.PRIMITIVE)
 
 
 class TestFit:
     def test_enhanced_recovery_from_exact_curve(self, params):
         truth = ModelParams(ModelKind.ENHANCED, 0.9, 0.45, 0.55)
         target = make_target(params, truth)
-        result = fit(default_problem(params, target, ModelKind.ENHANCED))
+        result = fit(FitProblem(params, target, ModelKind.ENHANCED))
         got = result.model.coefficients()
         want = truth.coefficients()
         assert np.max(np.abs(got - want) / want) <= 1e-4
@@ -67,7 +66,7 @@ class TestFit:
 
     def test_primitive_exact_recovery(self, params):
         target = make_target(params, ModelParams(ModelKind.PRIMITIVE, 1.0))
-        result = fit(default_problem(params, target, ModelKind.PRIMITIVE))
+        result = fit(FitProblem(params, target, ModelKind.PRIMITIVE))
         assert result.model.b1 == pytest.approx(1.0, abs=1e-6)
         assert result.rss <= 1e-20
 
@@ -78,36 +77,29 @@ class TestFit:
                                 rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7))
             clean = make_target(params, truth).cumulative_fraction
             noisy = np.clip(clean + rng.normal(0, 0.002, clean.size), 0.0, None)
-            target = ReceivedSignal(GRID, noisy, Source.SIMULATION)
-            rss_p = fit(default_problem(params, target, ModelKind.PRIMITIVE)).rss
-            rss_e = fit(default_problem(params, target, ModelKind.ENHANCED)).rss
+            target = ReceivedSignal(GRID, noisy)
+            rss_p = fit(FitProblem(params, target, ModelKind.PRIMITIVE)).rss
+            rss_e = fit(FitProblem(params, target, ModelKind.ENHANCED)).rss
             assert rss_e <= rss_p + 1e-12
 
     def test_rss_never_exceeds_initial_guess(self, params):
         truth = ModelParams(ModelKind.ENHANCED, 1.3, 0.6, 0.4)
         target = make_target(params, truth)
-        prob = default_problem(params, target, ModelKind.ENHANCED)
-        guess_curve = make_target(params, prob.initial_guess).cumulative_fraction
-        rss0 = float(np.sum((guess_curve - target.cumulative_fraction) ** 2))
-        result = fit(prob)
+        start = ModelParams(ModelKind.ENHANCED, *START_POINTS[ModelKind.ENHANCED])
+        start_curve = make_target(params, start).cumulative_fraction
+        rss0 = float(np.sum((start_curve - target.cumulative_fraction) ** 2))
+        result = fit(FitProblem(params, target, ModelKind.ENHANCED))
         assert result.rss <= rss0
 
     def test_converges_within_iteration_budget(self, params):
         target = make_target(params, ModelParams(ModelKind.ENHANCED, 1.1, 0.52, 0.48))
-        result = fit(default_problem(params, target, ModelKind.ENHANCED))
+        result = fit(FitProblem(params, target, ModelKind.ENHANCED))
         assert result.n_iterations <= 200
 
     def test_all_zero_target_rejected(self, params):
-        sig = ReceivedSignal(GRID, np.zeros(1000), Source.SIMULATION)
+        sig = ReceivedSignal(GRID, np.zeros(1000))
         with pytest.raises(ValidationError):
-            fit(default_problem(params, sig, ModelKind.ENHANCED))
-
-    def test_mismatched_guess_kind_rejected(self, params):
-        target = make_target(params, ModelParams(ModelKind.PRIMITIVE, 1.0))
-        with pytest.raises(ValidationError):
-            FitProblem(params, target, ModelKind.ENHANCED,
-                       ModelParams(ModelKind.PRIMITIVE, 1.0),
-                       (BOUNDS_B1, BOUNDS_B2, BOUNDS_B3))
+            fit(FitProblem(params, sig, ModelKind.ENHANCED))
 
     def test_result_within_bounds(self, params):
         rng = np.random.default_rng(2)
@@ -116,7 +108,7 @@ class TestFit:
         for _ in range(5):
             truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
             target = make_target(params, truth)
-            got = fit(default_problem(params, target, ModelKind.ENHANCED)).model
+            got = fit(FitProblem(params, target, ModelKind.ENHANCED)).model
             c = got.coefficients()
             assert np.all(c >= lo) and np.all(c <= hi)
 
@@ -147,8 +139,8 @@ class TestNoiseRobustness:
         hits = 0
         for _ in range(10):
             noisy = clean + rng.normal(0.0, 0.003, clean.size)
-            target = ReceivedSignal(GRID, noisy, Source.SIMULATION)
-            got = fit(default_problem(params, target, ModelKind.ENHANCED)).model
+            target = ReceivedSignal(GRID, noisy)
+            got = fit(FitProblem(params, target, ModelKind.ENHANCED)).model
             rel = np.max(np.abs(got.coefficients() - truth.coefficients())
                          / truth.coefficients())
             hits += rel <= 5e-2

@@ -10,11 +10,12 @@ from mcvd import (
     SystemParams,
     ValidationError,
     forward,
-    gradient_check,
     train,
 )
 from mcvd.fitting import default_bounds
 from mcvd.network import _forward_scaled
+
+from checks import gradient_check, gradient_check_scaled
 
 
 def random_network(seed=0, hidden=6, out_dim=3, sym_range=20.0):
@@ -217,28 +218,7 @@ class TestGradientCheck:
         y_orig = _forward_scaled(net, scaled)
         y_flip = _forward_scaled(flipped, -scaled)
         assert np.array_equal(y_orig, y_flip)
-        err_flipped = _gradcheck_at_scaled(flipped, -scaled)
-        err_orig = _gradcheck_at_scaled(net, scaled)
+        err_flipped = gradient_check_scaled(flipped, -scaled)
+        err_orig = gradient_check_scaled(net, scaled)
         assert err_orig == err_flipped
 
-
-def _gradcheck_at_scaled(net, x_scaled):
-    """gradient_check's metric evaluated directly at a normalized input."""
-    from mcvd.network import _output_jacobian
-    analytic = _output_jacobian(net, x_scaled)
-    w0 = net.flat_weights()
-    numeric = np.empty_like(analytic)
-    h = 1e-6
-    for i in range(w0.size):
-        wp = w0.copy(); wp[i] += h
-        wm = w0.copy(); wm[i] -= h
-        net.set_flat_weights(wp)
-        up = _forward_scaled(net, x_scaled).ravel()
-        net.set_flat_weights(wm)
-        dn = _forward_scaled(net, x_scaled).ravel()
-        numeric[:, i] = (up - dn) / (2 * h)
-    net.set_flat_weights(w0)
-    scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-300)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    mask = denom > 1e-3 * scale
-    return float(np.max(np.abs(analytic[mask] - numeric[mask]) / denom[mask]))

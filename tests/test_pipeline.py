@@ -145,8 +145,8 @@ class TestPhase1:
         assert np.array_equal(read_signal_csv(sig_path).cumulative_fraction,
                               direct.cumulative_fraction)
         # fitting the persisted signal reproduces the stored coefficients
-        from mcvd import default_problem, fit
-        refit = fit(default_problem(p, read_signal_csv(sig_path), ModelKind.ENHANCED))
+        from mcvd import FitProblem, fit
+        refit = fit(FitProblem(p, read_signal_csv(sig_path), ModelKind.ENHANCED))
         assert np.array_equal(refit.model.coefficients(),
                               records[0].output.coefficients())
 
