@@ -11,7 +11,6 @@ import numpy as np
 from .channel import sample_model, sample_point_formula, sir_curve
 from .network import CaseRecord
 from .pipeline import _fmt, _atomic_write
-from .simulate import SimConfig
 from .svg import line_chart
 from .types import (
     MissingArtifactError,
@@ -51,55 +50,44 @@ class RmseGroup:
     mean_rmse: dict[str, float]
 
 
-def _case_id(p: SystemParams) -> tuple[float, float, float, float]:
-    return (p.d, p.r_tx, p.r_rx, p.diff_coeff)
-
-
-def _records_by_case(records: list[CaseRecord]) -> dict[tuple, dict[ModelKind, ModelParams]]:
-    table: dict[tuple, dict[ModelKind, ModelParams]] = {}
+def _records_by_case(records: list[CaseRecord]) -> dict[SystemParams, dict[ModelKind, ModelParams]]:
+    table: dict[SystemParams, dict[ModelKind, ModelParams]] = {}
     for rec in records:
-        table.setdefault(_case_id(rec.input), {})[rec.output.kind] = rec.output
+        table.setdefault(rec.input, {})[rec.output.kind] = rec.output
     return table
 
 
 def evaluate_vds(vds_sims: list[tuple[SystemParams, ReceivedSignal]],
                  fit_records: list[CaseRecord],
                  ann_records: list[CaseRecord],
-                 cfg: SimConfig) -> list[RmseGroup]:
+                 n_emitted: int) -> list[RmseGroup]:
     """Per-case RMSE of every available method against simulation, averaged
     into (d, r_rx) groups.
 
     RMSE is reported in molecules per emission (fraction error times the
-    per-emission molecule count). Cases missing from either record set are
-    enumerated in one error.
+    ``n_emitted`` molecules of one emission). Cases missing from either
+    record set are enumerated in one error.
     """
-    fits = _records_by_case(fit_records)
-    anns = _records_by_case(ann_records)
-    methods_present = set()
-    per_case: dict[tuple, dict[str, float]] = {}
+    tables = {"fit": _records_by_case(fit_records), "ann": _records_by_case(ann_records)}
+    per_case: dict[SystemParams, dict[str, float]] = {}
     missing: list[str] = []
     for p, sim in vds_sims:
-        cid = _case_id(p)
-        row: dict[str, float] = {}
-        point = sample_point_formula(p, sim.grid)
-        row["point_formula"] = rmse(sim, point, cfg.n_molecules)
-        for label, source in (("fit", fits.get(cid, {})), ("ann", anns.get(cid, {}))):
-            for kind, name in ((ModelKind.PRIMITIVE, "primitive"), (ModelKind.ENHANCED, "enhanced")):
-                if kind in source:
-                    curve = sample_model(p, source[kind], sim.grid)
-                    row[f"{name}_{label}"] = rmse(sim, curve, cfg.n_molecules)
-        if len(fits.get(cid, {})) == 0 and fit_records:
-            missing.append(f"fit records missing for case {cid}")
-        if len(anns.get(cid, {})) == 0 and ann_records:
-            missing.append(f"ann records missing for case {cid}")
-        methods_present.update(row)
-        per_case[cid] = row
+        row = {"point_formula": rmse(sim, sample_point_formula(p, sim.grid), n_emitted)}
+        for label, table in tables.items():
+            models = table.get(p, {})
+            if table and not models:
+                missing.append(f"{label} records missing for case {p}")
+            for kind in ModelKind:
+                if kind in models:
+                    curve = sample_model(p, models[kind], sim.grid)
+                    row[f"{kind.value}_{label}"] = rmse(sim, curve, n_emitted)
+        per_case[p] = row
     if missing:
         raise MissingArtifactError("; ".join(missing))
 
     groups: dict[tuple[float, float], list[dict[str, float]]] = {}
-    for (d, _rtx, r_rx, _dc), row in per_case.items():
-        groups.setdefault((d, r_rx), []).append(row)
+    for p, row in per_case.items():
+        groups.setdefault((p.d, p.r_rx), []).append(row)
     out = []
     for (d, r_rx) in sorted(groups):
         rows = groups[(d, r_rx)]
@@ -127,7 +115,7 @@ def write_groups_csv(groups: list[RmseGroup], path: Path) -> None:
 
 def export_curves(p: SystemParams, sim: ReceivedSignal,
                   models: dict[str, ModelParams], out_dir: Path,
-                  n_emitted: int = 3000) -> list[Path]:
+                  n_emitted: int) -> list[Path]:
     """Write per-method signal and SIR CSVs plus combined SVG charts for one
     case. SIR files come in two variants: each curve against its own final
     value, and against the simulation's final value. Output is byte-stable:
@@ -165,16 +153,15 @@ def export_curves(p: SystemParams, sim: ReceivedSignal,
         sir_own_series.append((name, times, sir_own))
         sir_vs_sim_series.append((name, times, sir_ref))
 
-    chart_sig = out_dir / "received_signal.svg"
-    line_chart(signal_series, title=f"Received signal (d={p.d} um)",
-               x_label="time [s]", y_label="molecules received", path=chart_sig)
-    written.append(chart_sig)
-    chart_sir = out_dir / "sir.svg"
-    line_chart(sir_own_series, title=f"SIR, own end value (d={p.d} um)",
-               x_label="time [s]", y_label="SIR", path=chart_sir)
-    written.append(chart_sir)
-    chart_sir2 = out_dir / "sir_vs_sim.svg"
-    line_chart(sir_vs_sim_series, title=f"SIR vs simulation end (d={p.d} um)",
-               x_label="time [s]", y_label="SIR", path=chart_sir2)
-    written.append(chart_sir2)
+    charts = {
+        "received_signal.svg": (signal_series, f"Received signal (d={p.d} um)",
+                                "molecules received"),
+        "sir.svg": (sir_own_series, f"SIR, own end value (d={p.d} um)", "SIR"),
+        "sir_vs_sim.svg": (sir_vs_sim_series, f"SIR vs simulation end (d={p.d} um)", "SIR"),
+    }
+    for name, (series, title, y_label) in charts.items():
+        path = out_dir / name
+        _atomic_write(path, line_chart(series, title=title, x_label="time [s]",
+                                       y_label=y_label))
+        written.append(path)
     return written

@@ -13,18 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, pipeline
+from . import analysis
 from .fitting import FitProblem, fit
-from .network import CaseRecord
+from .network import CaseRecord, forward
 from .pipeline import (
     RunManifest,
+    case_key,
     load_network,
     predict_vds,
     read_records_csv,
     read_signal_csv,
     reduced_grids,
+    run_config,
     run_phase1,
     run_phase2,
+    signal_path,
     study_grids,
     write_records_csv,
     write_signal_csv,
@@ -136,48 +139,25 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_run(run_dir: Path):
-    manifest = RunManifest.load(run_dir)
-    sc = manifest.sim_config
-    try:
-        cfg = SimConfig(n_molecules=int(sc["n_molecules"]),
-                        n_replications=int(sc["n_replications"]),
-                        grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
-                        seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
-    return manifest, cfg
-
-
-def _vds_artifacts(run_dir: Path, cfg) -> tuple[list, list, list]:
-    fit_records: list[CaseRecord] = []
+def _run_records(run_dir: Path, stem: str, provenance: Provenance) -> list[CaseRecord]:
+    """The records of every ``<stem>_<kind>.csv`` in a run directory."""
+    records: list[CaseRecord] = []
     for kind in ModelKind:
-        path = run_dir / f"records_vds_{kind.value}.csv"
+        path = run_dir / f"{stem}_{kind.value}.csv"
         if path.exists():
-            fit_records.extend(read_records_csv(path, Provenance.VDS))
-    if not fit_records:
-        raise MissingArtifactError(f"no VDS fit records under {run_dir}")
-    ann_records: list[CaseRecord] = []
-    for kind in ModelKind:
-        path = run_dir / f"predictions_{kind.value}.csv"
-        if path.exists():
-            ann_records.extend(read_records_csv(path, Provenance.ANN_PREDICTION))
-    seen = []
-    sims = []
-    for rec in fit_records:
-        cid = (rec.input.d, rec.input.r_tx, rec.input.r_rx, rec.input.diff_coeff)
-        if cid in seen:
-            continue
-        seen.append(cid)
-        key = pipeline.case_key(rec.input, cfg)
-        sims.append((rec.input, read_signal_csv(run_dir / "signals" / f"sig_{key}.csv")))
-    return sims, fit_records, ann_records
+            records.extend(read_records_csv(path, provenance))
+    return records
 
 
-def _evaluate(run_dir: Path, cfg, out: Path) -> list:
+def _evaluate(run_dir: Path, cfg: SimConfig, out: Path) -> list:
     """Grouped RMSE of the run's VDS fits and predictions, written to out."""
-    sims, fit_records, ann_records = _vds_artifacts(run_dir, cfg)
-    groups = analysis.evaluate_vds(sims, fit_records, ann_records, cfg)
+    fits = _run_records(run_dir, "records_vds", Provenance.VDS)
+    if not fits:
+        raise MissingArtifactError(f"no VDS fit records under {run_dir}")
+    anns = _run_records(run_dir, "predictions", Provenance.ANN_PREDICTION)
+    sims = [(p, read_signal_csv(signal_path(run_dir, p, cfg)))
+            for p in dict.fromkeys(r.input for r in fits)]
+    groups = analysis.evaluate_vds(sims, fits, anns, cfg.n_molecules)
     out.parent.mkdir(parents=True, exist_ok=True)
     analysis.write_groups_csv(groups, out)
     return groups
@@ -185,7 +165,7 @@ def _evaluate(run_dir: Path, cfg, out: Path) -> list:
 
 def _cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
-    manifest, cfg = _load_run(run_dir)
+    cfg = run_config(run_dir)
     out = Path(args.out) if args.out else run_dir / "evaluation" / "rmse_groups.csv"
     groups = _evaluate(run_dir, cfg, out)
     print(f"{len(groups)} (d, r_rx) groups -> {out}")
@@ -197,24 +177,21 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_export(args) -> int:
     run_dir = Path(args.run)
-    manifest, cfg = _load_run(run_dir)
+    cfg = run_config(run_dir)
     p = _case(args)
-    key = pipeline.case_key(p, cfg)
-    sig_path = run_dir / "signals" / f"sig_{key}.csv"
-    sim = read_signal_csv(sig_path)
+    sim = read_signal_csv(signal_path(run_dir, p, cfg))
+    fits = {r.output.kind: r.output
+            for r in _run_records(run_dir, "records_vds", Provenance.VDS) if r.input == p}
+    # series order sets the chart colours: each kind's fit, then its network
     models = {}
     for kind in ModelKind:
-        rec_path = run_dir / f"records_vds_{kind.value}.csv"
-        if rec_path.exists():
-            for rec in read_records_csv(rec_path, Provenance.VDS):
-                if rec.input == p:
-                    models[f"{kind.value}_fit"] = rec.output
+        if kind in fits:
+            models[f"{kind.value}_fit"] = fits[kind]
         net_path = run_dir / f"network_{kind.value}.json"
         if net_path.exists():
-            from .network import forward
             models[f"{kind.value}_ann"] = forward(load_network(net_path), p)
-    out = Path(args.out) if args.out else run_dir / "exports" / f"case_{key}"
-    written = analysis.export_curves(p, sim, models, out, n_emitted=cfg.n_molecules)
+    out = Path(args.out) if args.out else run_dir / "exports" / f"case_{case_key(p, cfg)}"
+    written = analysis.export_curves(p, sim, models, out, cfg.n_molecules)
     print(f"exported {len(written)} files -> {out}")
     return EXIT_OK
 
@@ -241,15 +218,17 @@ def _cmd_pipeline(args) -> int:
         predictions = predict_vds(net, [r.input for r in vds_records])
         write_records_csv(predictions, out_dir / f"predictions_{kind.value}.csv")
     manifest = RunManifest.load(out_dir)
+    for kind in kinds:
+        manifest.artifacts[f"predictions_{kind.value}"] = f"predictions_{kind.value}.csv"
     # with every VDS case failed there is nothing to evaluate, only failures to report
     if n_vds:
         t0 = time.perf_counter()
         eval_path = out_dir / "evaluation" / "rmse_groups.csv"
         groups = _evaluate(out_dir, cfg, eval_path)
         manifest.add_stage("evaluate", time.perf_counter() - t0)
-        manifest.add_artifact("rmse_groups", "evaluation/rmse_groups.csv")
-        manifest.save(out_dir)
+        manifest.artifacts["rmse_groups"] = "evaluation/rmse_groups.csv"
         print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
+    manifest.save(out_dir)
     if manifest.failures:
         print(f"error: {len(manifest.failures)} failed cases; see 'failures' in "
               f"{RunManifest.path_in(out_dir)}", file=sys.stderr)

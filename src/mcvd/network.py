@@ -67,10 +67,6 @@ class TrainReport:
     gamma: float
     degenerate_targets: bool = False
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError("alpha and beta must be positive")
-
 
 @dataclass
 class Network:
@@ -162,13 +158,13 @@ def _output_jacobian(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _normalization_bounds(values: np.ndarray, pad: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Column min/max, widened symmetrically where a column is constant."""
+def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column min/max, widened by 1 on each side where a column is constant."""
     vmin = values.min(axis=0).astype(float)
     vmax = values.max(axis=0).astype(float)
     flat = vmax - vmin <= 0
-    vmin[flat] -= pad
-    vmax[flat] += pad
+    vmin[flat] -= 1.0
+    vmax[flat] += 1.0
     return vmin, vmax
 
 
@@ -183,14 +179,14 @@ def _init_network(kind: ModelKind, hidden: int, out_dim: int, seed: int,
 
 
 def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
-          seed: int = 0, max_epochs: int = MAX_EPOCHS) -> tuple[Network, TrainReport]:
+          seed: int = 0) -> tuple[Network, TrainReport]:
     """Bayesian-regularized Levenberg-Marquardt training.
 
     Each epoch runs the damped Gauss-Newton inner loop to convergence at the
     current (alpha, beta), then re-estimates the hyperparameters from the
     evidence approximation. Training stops when an epoch's inner loop no
     longer improves the objective by more than 1e-9 relative, or after
-    max_epochs. Fully deterministic for a fixed seed.
+    MAX_EPOCHS epochs. Fully deterministic for a fixed seed.
     """
     if len(dataset) < 10:
         raise ValidationError("training requires at least 10 records")
@@ -227,7 +223,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     gamma = float(k)
     lam = 1e-3
     epochs = 0
-    for _ in range(max_epochs):
+    for _ in range(MAX_EPOCHS):
         epochs += 1
         # anchor at this epoch's (alpha, beta): the stop test below compares
         # against the same hyperparameters, since the evidence re-estimate

@@ -53,6 +53,8 @@ __all__ = [
     "save_network",
     "load_network",
     "case_key",
+    "signal_path",
+    "run_config",
 ]
 
 FORMAT_VERSION = 1
@@ -288,6 +290,11 @@ def case_key(p: SystemParams, cfg: SimConfig) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
+def signal_path(run_dir: Path, p: SystemParams, cfg: SimConfig) -> Path:
+    """Where a run directory keeps the signal of one simulated case."""
+    return Path(run_dir) / "signals" / f"sig_{case_key(p, cfg)}.csv"
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -315,9 +322,6 @@ class RunManifest:
             "duration_s": round(duration_s, 3),
             "simulated": simulated, "resumed": resumed, "failed": failed,
         })
-
-    def add_artifact(self, key: str, rel_path: str) -> None:
-        self.artifacts[key] = rel_path
 
     def save(self, out_dir: Path) -> None:
         payload = {
@@ -356,11 +360,23 @@ def _sim_config_dict(cfg: SimConfig) -> dict:
     }
 
 
-def _load_or_create_manifest(out_dir: Path, cfg: SimConfig) -> RunManifest:
+def run_config(run_dir: Path) -> SimConfig:
+    """The simulation configuration recorded in a run directory's manifest."""
+    sc = RunManifest.load(run_dir).sim_config
+    try:
+        return SimConfig(n_molecules=int(sc["n_molecules"]),
+                         n_replications=int(sc["n_replications"]),
+                         grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
+                         seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
+
+
+def _load_or_create_manifest(out_dir: Path, seed: int, sim_config: dict) -> RunManifest:
     try:
         return RunManifest.load(out_dir)
     except MissingArtifactError:
-        return RunManifest(seed=cfg.seed, sim_config=_sim_config_dict(cfg))
+        return RunManifest(seed=seed, sim_config=sim_config)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +397,13 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     worker processes, opened for this call and started before any thread,
     so no process forks while threads run; each thread waits for its case's
     kernel. This thread writes every file, in grid order, and fits every
-    case. A case that fails (a worker that dies fails the cases it leaves
-    unfinished) does not stop the rest of the grid: it is recorded in the
-    manifest's failures under this stage's name, replacing the stage's
-    entries from an earlier run. The manifest lists the signal of every case
-    that has one on disk, and the stage's duration and case counts.
+    case. A case that fails does not stop the rest of the grid: it is
+    recorded in the manifest's failures under this stage's name, replacing
+    the stage's entries from an earlier run. A worker that dies breaks the
+    pool, so every case of the grid not yet finished fails; a rerun in the
+    same directory reads the signals on disk and simulates only those. The
+    manifest lists the signal of every case that has one on disk, and the
+    stage's duration and case counts.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
@@ -394,12 +412,12 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     kind = ModelKind(kind)
     stage = f"phase1:{grid.label.value}:{kind.value}"
-    manifest = _load_or_create_manifest(out_dir, cfg)
+    manifest = _load_or_create_manifest(out_dir, cfg.seed, _sim_config_dict(cfg))
     manifest.grid_hashes[grid.label.value] = grid.content_hash()
     manifest.failures = [f for f in manifest.failures if f.get("stage") != stage]
     cases = grid.cases()
     keys = [case_key(p, cfg) for p in cases]
-    paths = [out_dir / "signals" / f"sig_{key}.csv" for key in keys]
+    paths = [signal_path(out_dir, p, cfg) for p in cases]
     fresh = [not path.exists() for path in paths]
 
     with ExitStack() as stack:
@@ -451,10 +469,10 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
                        simulated=sum(g and f for g, f in zip(got, fresh)),
                        resumed=sum(g and not f for g, f in zip(got, fresh)),
                        failed=len(cases) - len(records))
-    manifest.add_artifact(f"records_{grid.label.value}_{kind.value}", combined.name)
-    for key, ok in zip(keys, got):
+    manifest.artifacts[f"records_{grid.label.value}_{kind.value}"] = combined.name
+    for key, path, ok in zip(keys, paths, got):
         if ok:
-            manifest.add_artifact(f"signal_{key}", f"signals/sig_{key}.csv")
+            manifest.artifacts[f"signal_{key}"] = path.relative_to(out_dir).as_posix()
         else:
             manifest.artifacts.pop(f"signal_{key}", None)
     manifest.save(out_dir)
@@ -482,13 +500,10 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     }
     report_path = out_dir / f"train_report_{net.kind.value}.json"
     _atomic_write(report_path, json.dumps(report_payload, indent=1) + "\n")
-    try:
-        manifest = RunManifest.load(out_dir)
-    except MissingArtifactError:
-        manifest = RunManifest(seed=seed, sim_config={})
+    manifest = _load_or_create_manifest(out_dir, seed, {})
     manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
-    manifest.add_artifact(f"network_{net.kind.value}", net_path.name)
-    manifest.add_artifact(f"train_report_{net.kind.value}", report_path.name)
+    manifest.artifacts[f"network_{net.kind.value}"] = net_path.name
+    manifest.artifacts[f"train_report_{net.kind.value}"] = report_path.name
     manifest.save(out_dir)
     return net, report
 

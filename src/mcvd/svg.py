@@ -6,9 +6,6 @@ re-runs.
 """
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import numpy as np
 
 __all__ = ["line_chart"]
@@ -19,16 +16,15 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf", "#7f7f7f")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
-               x_label: str, y_label: str, path: Path) -> None:
-    """Write one chart; non-finite points (e.g. the SIR +inf sentinel) are
-    dropped from their polyline."""
+               x_label: str, y_label: str) -> str:
+    """The SVG text of one chart; non-finite points (e.g. the SIR +inf
+    sentinel) are dropped from their polyline."""
     finite_pts = []
     for _label, xs, ys in series:
         xs = np.asarray(xs, dtype=float)
@@ -97,7 +93,4 @@ def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], title: str,
         out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
                    f'font-size="11">{label}</text>')
     out.append("</svg>")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    return "\n".join(out) + "\n"

@@ -170,8 +170,8 @@ class ReceivedSignal:
     the end of bin k+1. Signals produced by the simulator and the analytic
     models are non-decreasing and confined to [0, 1]; noisy empirical targets
     handed to the fitter may violate that strict form, so the hard invariants
-    are enforced by ``validate`` (called by all producers in this package)
-    rather than unconditionally at construction.
+    are enforced by ``validate`` (which ``simulate_case`` calls on every
+    signal it returns) rather than unconditionally at construction.
     """
 
     grid: TimeGrid

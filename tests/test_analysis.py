@@ -90,7 +90,7 @@ def _vds_setup(n_per_group=2):
 class TestEvaluateVds:
     def test_groups_partition_cases(self):
         sims, fits, anns, cfg = _vds_setup()
-        groups = evaluate_vds(sims, fits, anns, cfg)
+        groups = evaluate_vds(sims, fits, anns, cfg.n_molecules)
         assert len(groups) == 4  # 2 distances x 2 receiver radii
         assert sum(g.n_cases for g in groups) == len(sims)
         for g in groups:
@@ -98,7 +98,7 @@ class TestEvaluateVds:
 
     def test_methods_reported(self):
         sims, fits, anns, cfg = _vds_setup()
-        groups = evaluate_vds(sims, fits, anns, cfg)
+        groups = evaluate_vds(sims, fits, anns, cfg.n_molecules)
         for g in groups:
             assert set(g.mean_rmse) == {"point_formula", "primitive_fit",
                                         "enhanced_fit", "primitive_ann",
@@ -106,12 +106,12 @@ class TestEvaluateVds:
 
     def test_enhanced_fit_beats_primitive_fit_in_every_group(self):
         sims, fits, anns, cfg = _vds_setup()
-        for g in evaluate_vds(sims, fits, anns, cfg):
+        for g in evaluate_vds(sims, fits, anns, cfg.n_molecules):
             assert g.mean_rmse["enhanced_fit"] <= g.mean_rmse["primitive_fit"]
 
     def test_group_mean_equals_member_mean(self):
         sims, fits, anns, cfg = _vds_setup()
-        groups = evaluate_vds(sims, fits, anns, cfg)
+        groups = evaluate_vds(sims, fits, anns, cfg.n_molecules)
         # recompute one group's enhanced-fit mean by hand
         g = groups[0]
         members = [(p, s) for (p, s) in sims if p.d == g.d and p.r_rx == g.r_rx]
@@ -125,7 +125,7 @@ class TestEvaluateVds:
     def test_missing_records_enumerated(self):
         sims, fits, anns, cfg = _vds_setup()
         with pytest.raises(MissingArtifactError):
-            evaluate_vds(sims, fits[2:], anns, cfg)
+            evaluate_vds(sims, fits[2:], anns, cfg.n_molecules)
 
 
 class TestEvaluateFullGrid:
@@ -141,7 +141,7 @@ class TestEvaluateFullGrid:
             curve = sample_model(p, truth, GRID)
             sims.append((p, ReceivedSignal(GRID, curve.cumulative_fraction)))
             fits.append(CaseRecord(p, truth, Provenance.VDS))
-        groups = evaluate_vds(sims, fits, [], cfg)
+        groups = evaluate_vds(sims, fits, [], cfg.n_molecules)
         assert len(groups) == 15  # 5 distances x 3 receiver radii
         assert all(g.n_cases == 9 for g in groups)  # 3 tx radii x 3 diff coeffs
         assert sum(g.n_cases for g in groups) == 135
@@ -157,7 +157,7 @@ class TestExportCurves:
             curve = sample_model(p, truth, GRID)
             sim = ReceivedSignal(GRID, curve.cumulative_fraction)
             out = tmp_path / f"d{d:.0f}"
-            export_curves(p, sim, {"enhanced_fit": truth}, out)
+            export_curves(p, sim, {"enhanced_fit": truth}, out, 3000)
             bundles.append(out)
         assert len(bundles) == 3
         for out in bundles:
@@ -174,7 +174,7 @@ class TestExportCurves:
             "primitive_fit": ModelParams(ModelKind.PRIMITIVE, 1.02),
         }
         out = tmp_path / "bundle"
-        written = export_curves(p, sim, models, out)
+        written = export_curves(p, sim, models, out, 3000)
         names = {w.name for w in written}
         assert "signal_simulation.csv" in names
         assert "signal_point_formula.csv" in names
@@ -188,7 +188,7 @@ class TestExportCurves:
         assert svg.startswith("<?xml") and "<svg" in svg and "polyline" in svg
 
         before = {w.name: w.read_bytes() for w in written}
-        for w in export_curves(p, sim, models, out):
+        for w in export_curves(p, sim, models, out, 3000):
             assert w.read_bytes() == before[w.name]
 
 

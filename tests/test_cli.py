@@ -125,6 +125,9 @@ class TestPipelineArtifacts:
         assert not (out / "records").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == []
+        # the manifest lists every file of the run, predictions included
+        on_disk = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
+        assert set(manifest["artifacts"].values()) == on_disk - {"manifest.json"}
 
     def test_groups_csv_shape(self, pipeline_run):
         lines = (pipeline_run / "evaluation" / "rmse_groups.csv").read_text().splitlines()
@@ -232,9 +235,9 @@ class TestPipelineFailures:
                   "mcvd.simulate._replication_hits = test_cli._hits_worker_dies; "
                   "sys.exit(mcvd.cli.main(sys.argv[1:]))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
-        proc = subprocess.run([sys.executable, "-c", script, "pipeline", "--out", str(tmp_path),
-                               *self.WORKER_RUN], env=env, capture_output=True, text=True,
-                              timeout=300)
+        args = ["pipeline", "--out", str(tmp_path), *self.WORKER_RUN]
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         failures = manifest["failures"]
@@ -245,6 +248,13 @@ class TestPipelineFailures:
         vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
         assert vds[-1]["failed"] == len(failures)
         assert (tmp_path / "evaluation" / "rmse_groups.csv").exists() == evaluated
+
+        # a rerun without the stand-in simulates only the failed cases
+        assert run_cli(*args) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
+        assert (vds[-1]["simulated"], vds[-1]["resumed"]) == (len(failures), 12 - len(failures))
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exit_1(self, tmp_path, workers):

@@ -172,7 +172,7 @@ class TestTrain:
 
     def test_normalization_round_trip(self):
         records = small_fittable_dataset()
-        net, _ = train(records, hidden=4, seed=1, max_epochs=2)
+        net, _ = train(records, hidden=4, seed=1)
         raw = np.array([[r.input.d, r.input.r_tx, r.input.r_rx, r.input.diff_coeff]
                         for r in records])
         back = net.in_min + (net.normalize_inputs(raw) + 1.0) * (net.in_max - net.in_min) / 2

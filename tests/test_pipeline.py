@@ -121,7 +121,7 @@ class TestSerialization:
         assert back[0].input == recs[0].input
 
     def test_network_round_trip_bitwise(self, tmp_path):
-        net, _ = train(small_fittable_dataset(), hidden=4, seed=3, max_epochs=5)
+        net, _ = train(small_fittable_dataset(), hidden=4, seed=3)
         path = tmp_path / "net.json"
         save_network(net, path)
         back = load_network(path)
@@ -323,7 +323,7 @@ class TestPhase2:
 
 class TestPredict:
     def test_one_record_per_input(self, tmp_path):
-        net, _ = train(small_fittable_dataset(), hidden=4, seed=2, max_epochs=20)
+        net, _ = train(small_fittable_dataset(), hidden=4, seed=2)
         _, vds = study_grids()
         inputs = vds.cases()
         records = predict_vds(net, inputs)
@@ -331,7 +331,7 @@ class TestPredict:
         assert all(r.provenance is Provenance.ANN_PREDICTION for r in records)
 
     def test_predictions_repeatable_and_bounded(self):
-        net, _ = train(small_fittable_dataset(), hidden=4, seed=2, max_epochs=20)
+        net, _ = train(small_fittable_dataset(), hidden=4, seed=2)
         p = SystemParams(d=11, r_tx=8, r_rx=8, diff_coeff=80)
         a = predict_vds(net, [p])[0].output.coefficients()
         b = predict_vds(net, [p])[0].output.coefficients()
