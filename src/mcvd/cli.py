@@ -199,6 +199,8 @@ def _cmd_export(args) -> int:
 def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out)
     cfg = _sim_config(args)
+    if args.hidden < 1:  # training would refuse it only after phase 1
+        raise ValidationError("hidden must be >= 1")
     if args.grid == "full":
         tds_grid, vds_grid = study_grids()
     else:
@@ -218,15 +220,12 @@ def _cmd_pipeline(args) -> int:
         predictions = predict_vds(net, [r.input for r in vds_records])
         write_records_csv(predictions, out_dir / f"predictions_{kind.value}.csv")
     manifest = RunManifest.load(out_dir)
-    for kind in kinds:
-        manifest.artifacts[f"predictions_{kind.value}"] = f"predictions_{kind.value}.csv"
     # with every VDS case failed there is nothing to evaluate, only failures to report
     if n_vds:
         t0 = time.perf_counter()
         eval_path = out_dir / "evaluation" / "rmse_groups.csv"
         groups = _evaluate(out_dir, cfg, eval_path)
         manifest.add_stage("evaluate", time.perf_counter() - t0)
-        manifest.artifacts["rmse_groups"] = "evaluation/rmse_groups.csv"
         print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
     manifest.save(out_dir)
     if manifest.failures:

@@ -131,8 +131,7 @@ def fit(problem: FitProblem) -> FitResult:
     if not np.all(np.isfinite(resid)):
         raise NumericError("non-finite residuals at the start point")
     rss = float(resid @ resid)
-    lam = 0.0
-    lam_floor_set = False
+    lam = LAMBDA_INIT_FACTOR * max(float(np.max(np.diag(jac.T @ jac))), 1.0)
     converged = False
     n_iter = 0
     eye = np.eye(x.size)
@@ -146,9 +145,6 @@ def fit(problem: FitProblem) -> FitResult:
             converged = True
             break
         jtj = jac.T @ jac
-        if not lam_floor_set:
-            lam = LAMBDA_INIT_FACTOR * max(float(np.max(np.diag(jtj))), 1.0)
-            lam_floor_set = True
         accepted = False
         while lam <= LAMBDA_MAX:
             try:

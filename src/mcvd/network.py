@@ -190,6 +190,8 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     """
     if len(dataset) < 10:
         raise ValidationError("training requires at least 10 records")
+    if hidden < 1 or seed < 0:
+        raise ValidationError("training needs hidden >= 1 and seed >= 0")
     kinds = {r.output.kind for r in dataset}
     if len(kinds) != 1:
         raise ValidationError("dataset mixes model kinds")

@@ -82,9 +82,6 @@ class ParameterGrid:
     rx_radii: tuple[float, ...]
     label: Provenance
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", Provenance(self.label))
-
     def case_count(self) -> int:
         return (len(self.distances) * len(self.tx_radii)
                 * len(self.diff_coeffs) * len(self.rx_radii))
@@ -98,14 +95,6 @@ class ParameterGrid:
             for dc in self.diff_coeffs
             for rrx in self.rx_radii
         ]
-
-    def content_hash(self) -> str:
-        key = json.dumps({
-            "distances": self.distances, "tx_radii": self.tx_radii,
-            "diff_coeffs": self.diff_coeffs, "rx_radii": self.rx_radii,
-            "label": self.label.value,
-        }, sort_keys=True)
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def study_grids() -> tuple[ParameterGrid, ParameterGrid]:
@@ -303,9 +292,7 @@ def signal_path(run_dir: Path, p: SystemParams, cfg: SimConfig) -> Path:
 class RunManifest:
     seed: int
     sim_config: dict
-    grid_hashes: dict = field(default_factory=dict)
     stages: list = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
     @staticmethod
@@ -324,13 +311,16 @@ class RunManifest:
         })
 
     def save(self, out_dir: Path) -> None:
+        """Write the manifest. Its ``artifacts`` list every other file under
+        ``out_dir`` as of this save: relative POSIX paths, sorted."""
+        files = [(Path(root) / name).relative_to(out_dir).as_posix()
+                 for root, _dirs, names in os.walk(out_dir) for name in names]
         payload = {
             "format_version": FORMAT_VERSION,
             "seed": self.seed,
             "sim_config": self.sim_config,
-            "grid_hashes": self.grid_hashes,
             "stages": self.stages,
-            "artifacts": self.artifacts,
+            "artifacts": sorted(f for f in files if f != "manifest.json"),
             "failures": self.failures,
         }
         _atomic_write(self.path_in(out_dir), json.dumps(payload, indent=1) + "\n")
@@ -339,8 +329,7 @@ class RunManifest:
     def load(out_dir: Path) -> "RunManifest":
         path = RunManifest.path_in(out_dir)
         data = _read_json(path)
-        fields = {"seed": int, "sim_config": dict, "grid_hashes": dict,
-                  "stages": list, "artifacts": dict, "failures": list}
+        fields = {"seed": int, "sim_config": dict, "stages": list, "failures": list}
         for name, kind in fields.items():
             if not isinstance(data.get(name), kind):
                 raise ValidationError(f"manifest {path} lacks a {kind.__name__} {name!r}")
@@ -402,21 +391,26 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
     the stage's entries from an earlier run. A worker that dies breaks the
     pool, so every case of the grid not yet finished fails; a rerun in the
     same directory reads the signals on disk and simulates only those. The
-    manifest lists the signal of every case that has one on disk, and the
-    stage's duration and case counts.
+    manifest records the stage's duration and case counts. A run directory
+    holds one simulation configuration: a manifest that records another is
+    refused before anything is written.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
-    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     kind = ModelKind(kind)
     stage = f"phase1:{grid.label.value}:{kind.value}"
-    manifest = _load_or_create_manifest(out_dir, cfg.seed, _sim_config_dict(cfg))
-    manifest.grid_hashes[grid.label.value] = grid.content_hash()
+    sim_config = _sim_config_dict(cfg)
+    manifest = _load_or_create_manifest(out_dir, cfg.seed, sim_config)
+    # an empty configuration comes from a run that only trained a network
+    if manifest.sim_config and manifest.sim_config != sim_config:
+        raise ValidationError(f"{out_dir} holds a run under another simulation "
+                              f"configuration: {manifest.sim_config}")
+    manifest.sim_config = sim_config
+    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
     manifest.failures = [f for f in manifest.failures if f.get("stage") != stage]
     cases = grid.cases()
-    keys = [case_key(p, cfg) for p in cases]
     paths = [signal_path(out_dir, p, cfg) for p in cases]
     fresh = [not path.exists() for path in paths]
 
@@ -462,19 +456,12 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
             "numeric": isinstance(outcome, NumericError),
         })
 
-    combined = out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv"
-    write_records_csv(records, combined)
+    write_records_csv(records, out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv")
     got = [isinstance(outcome, ReceivedSignal) for outcome in outcomes]
     manifest.add_stage(stage, time.perf_counter() - t0,
                        simulated=sum(g and f for g, f in zip(got, fresh)),
                        resumed=sum(g and not f for g, f in zip(got, fresh)),
                        failed=len(cases) - len(records))
-    manifest.artifacts[f"records_{grid.label.value}_{kind.value}"] = combined.name
-    for key, path, ok in zip(keys, paths, got):
-        if ok:
-            manifest.artifacts[f"signal_{key}"] = path.relative_to(out_dir).as_posix()
-        else:
-            manifest.artifacts.pop(f"signal_{key}", None)
     manifest.save(out_dir)
     return records
 
@@ -488,8 +475,7 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net, report = train(tds, hidden=hidden, seed=seed)
-    net_path = out_dir / f"network_{net.kind.value}.json"
-    save_network(net, net_path)
+    save_network(net, out_dir / f"network_{net.kind.value}.json")
     report_payload = {
         "format_version": FORMAT_VERSION,
         "epochs": report.epochs,
@@ -502,8 +488,6 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     _atomic_write(report_path, json.dumps(report_payload, indent=1) + "\n")
     manifest = _load_or_create_manifest(out_dir, seed, {})
     manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
-    manifest.artifacts[f"network_{net.kind.value}"] = net_path.name
-    manifest.artifacts[f"train_report_{net.kind.value}"] = report_path.name
     manifest.save(out_dir)
     return net, report
 

@@ -86,6 +86,8 @@ class SimConfig:
             raise ValidationError("n_replications must be >= 1")
         if self.substep_factor < 1:
             raise ValidationError("substep_factor must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def dt_sub(self) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,17 +55,21 @@ def _hits_worker_dies(geom, cfg, sigma, seed_seq):
     return _REAL_HITS(geom, cfg, sigma, seed_seq)
 
 
+PIPELINE_RUN = ("--seed", "3", "--molecules", "150", "--replications", "2",
+                "--dt", "0.005", "--t-end", "0.5", "--hidden", "4")
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """One tiny end-to-end pipeline run shared by the CLI tests."""
     out = tmp_path_factory.mktemp("run")
-    code = run_cli(
-        "pipeline", "--out", str(out), "--seed", "3",
-        "--molecules", "150", "--replications", "2",
-        "--dt", "0.005", "--t-end", "0.5", "--hidden", "4",
-    )
-    assert code == EXIT_OK
+    assert run_cli("pipeline", "--out", str(out), *PIPELINE_RUN) == EXIT_OK
     return out
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in root.rglob("*") if f.is_file()}
 
 
 class TestSimulateCommand:
@@ -125,9 +130,9 @@ class TestPipelineArtifacts:
         assert not (out / "records").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == []
-        # the manifest lists every file of the run, predictions included
+        # the manifest lists every other file of the run, sorted
         on_disk = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
-        assert set(manifest["artifacts"].values()) == on_disk - {"manifest.json"}
+        assert manifest["artifacts"] == sorted(on_disk - {"manifest.json"})
 
     def test_groups_csv_shape(self, pipeline_run):
         lines = (pipeline_run / "evaluation" / "rmse_groups.csv").read_text().splitlines()
@@ -161,6 +166,15 @@ class TestPipelineArtifacts:
         assert (out / "received_signal.svg").exists()
         assert (out / "sir.svg").exists()
         assert (out / "signal_simulation.csv").exists()
+
+    def test_rerun_under_other_config_refused(self, pipeline_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        before = _tree(run)
+        args = ["pipeline", "--out", str(run), *PIPELINE_RUN]
+        assert run_cli(*args, "--molecules", "200") == EXIT_VALIDATION
+        assert _tree(run) == before
+        assert run_cli(*args) == EXIT_OK
 
     def test_export_unknown_case_exit_2(self, pipeline_run, tmp_path):
         code = run_cli("export", "--run", str(pipeline_run),
@@ -264,6 +278,29 @@ class TestPipelineFailures:
         assert not (tmp_path / "manifest.json").exists()
 
 
+class TestInvalidArguments:
+    @pytest.mark.parametrize("command, flag, value", [
+        *[(command, "--seed", "-1") for command in ("simulate", "train", "pipeline")],
+        *[(command, "--hidden", value) for command in ("train", "pipeline")
+          for value in ("0", "-1")],
+    ])
+    def test_negative_seed_or_hidden_below_one_exit_1(self, pipeline_run, tmp_path, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "out"
+        args = {
+            "simulate": ("--d", "4", "--rrx", "5", "--D", "100", "--molecules", "50",
+                         "--replications", "1", "--dt", "0.01", "--t-end", "0.1",
+                         "--out", str(out / "sig.csv")),
+            "train": ("--records", str(pipeline_run / "records_tds_enhanced.csv"),
+                      "--out", str(out)),
+            "pipeline": ("--out", str(out), *TestPipelineFailures.SMALL_RUN),
+        }[command]
+        # the flag comes last, so it overrides the one in SMALL_RUN
+        assert run_cli(command, *args, flag, value) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or _tree(out) == {}
+
+
 class TestParser:
     def test_full_study_flags_supported(self):
         # the full-scale study run is one flag away, but not executed in CI
@@ -340,6 +377,9 @@ def corrupted_json(draw, text: str, keys: tuple[str, ...]) -> str:
 
 
 CORRUPTION = settings(max_examples=25, deadline=None)
+# a drawn lone surrogate is written as bytes that are not UTF-8, which the
+# readers must reject like any other corruption
+WRITE_SURROGATES = "surrogatepass"
 
 
 class TestCorruptedArtifacts:
@@ -350,7 +390,8 @@ class TestCorruptedArtifacts:
     def test_signal_csv(self, pipeline_run, tmp_path_factory, data):
         original = sorted((pipeline_run / "signals").glob("sig_*.csv"))[0].read_text()
         path = tmp_path_factory.mktemp("bad") / "sig.csv"
-        path.write_text(data.draw(corrupted_csv(original)))
+        path.write_text(data.draw(corrupted_csv(original)), encoding="utf-8",
+                        errors=WRITE_SURROGATES)
         assert run_cli("fit", "--signal", str(path), "--d", "3", "--rrx", "6",
                        "--D", "90") == EXIT_VALIDATION
 
@@ -359,7 +400,8 @@ class TestCorruptedArtifacts:
     def test_records_csv(self, pipeline_run, tmp_path_factory, data):
         original = (pipeline_run / "records_tds_enhanced.csv").read_text()
         tmp = tmp_path_factory.mktemp("bad")
-        (tmp / "records.csv").write_text(data.draw(corrupted_csv(original)))
+        (tmp / "records.csv").write_text(data.draw(corrupted_csv(original)),
+                                         encoding="utf-8", errors=WRITE_SURROGATES)
         assert run_cli("train", "--records", str(tmp / "records.csv"),
                        "--out", str(tmp / "out")) == EXIT_VALIDATION
 
@@ -388,7 +430,7 @@ class TestCorruptedArtifacts:
     @CORRUPTION
     def test_manifest_json(self, pipeline_run, tmp_path_factory, data):
         original = (pipeline_run / "manifest.json").read_text()
-        keys = ("seed", "sim_config", "grid_hashes", "stages", "artifacts", "failures")
+        keys = ("seed", "sim_config", "stages", "failures")
         run = tmp_path_factory.mktemp("bad")
         (run / "manifest.json").write_text(data.draw(corrupted_json(original, keys)))
         assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION

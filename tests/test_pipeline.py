@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import threading
 import warnings
 from dataclasses import replace
@@ -215,11 +216,12 @@ class TestPhase1:
         grid = tiny_grid()
         cfg = tiny_cfg()
         run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
-        manifest = RunManifest.load(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         for p in grid.cases():
-            rel = manifest.artifacts[f"signal_{case_key(p, cfg)}"]
+            rel = f"signals/sig_{case_key(p, cfg)}.csv"
+            assert rel in manifest["artifacts"]
             assert (tmp_path / rel).exists()
-        assert any(s["name"].startswith("phase1") for s in manifest.stages)
+        assert any(s["name"].startswith("phase1") for s in manifest["stages"])
 
     def test_manifest_lists_only_signals_on_disk(self, tmp_path, monkeypatch):
         import mcvd.pipeline
@@ -239,12 +241,34 @@ class TestPhase1:
         # the rerun fails to simulate the case whose signal was deleted
         monkeypatch.setattr(mcvd.pipeline, "simulate_case", failing_for_d4)
         run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
-        manifest = RunManifest.load(tmp_path)
-        assert [f["case"][0] for f in manifest.failures] == ["4"]
-        assert f"signal_{case_key(grid.cases()[0], cfg)}" in manifest.artifacts
-        assert f"signal_{case_key(grid.cases()[1], cfg)}" not in manifest.artifacts
-        for rel in manifest.artifacts.values():
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [f["case"][0] for f in manifest["failures"]] == ["4"]
+        assert f"signals/sig_{case_key(grid.cases()[0], cfg)}.csv" in manifest["artifacts"]
+        assert lost.relative_to(tmp_path).as_posix() not in manifest["artifacts"]
+        for rel in manifest["artifacts"]:
             assert (tmp_path / rel).exists()
+
+    def test_manifest_with_artifact_dict_resumes(self, tmp_path):
+        # a manifest that keyed its artifacts by name and kept grid hashes
+        # still resumes, and its next save lists the directory instead
+        grid = tiny_grid()
+        cfg = tiny_cfg(seed=5)
+        first = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "a")
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["grid_hashes"] = {"TDS": "0123456789abcdef"}
+        manifest["artifacts"] = {f"artifact_{i}": rel
+                                 for i, rel in enumerate(manifest["artifacts"])}
+        path.write_text(json.dumps(manifest))
+        resumed = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "b")
+        assert [r.output.coefficients().tolist() for r in resumed] \
+            == [r.output.coefficients().tolist() for r in first]
+        manifest = json.loads(path.read_text())
+        assert "grid_hashes" not in manifest
+        assert manifest["artifacts"] == json.loads(
+            (tmp_path / "a" / "manifest.json").read_text())["artifacts"]
+        assert manifest["stages"][-1]["resumed"] == grid.case_count()
 
     def test_worker_count_below_one_rejected(self, tmp_path):
         for n_workers in (0, -2):

@@ -260,6 +260,8 @@ class TestSimConfig:
             SimConfig(n_replications=0)
         with pytest.raises(ValidationError):
             SimConfig(substep_factor=0)
+        with pytest.raises(ValidationError):
+            SimConfig(seed=-1)
 
     def test_dt_sub(self):
         cfg = SimConfig(grid=TimeGrid(1e-3, 1.0), substep_factor=10)
