@@ -168,6 +168,7 @@ def _cmd_evaluate(args) -> int:
     cfg = run_config(run_dir)
     out = Path(args.out) if args.out else run_dir / "evaluation" / "rmse_groups.csv"
     groups = _evaluate(run_dir, cfg, out)
+    RunManifest.load(run_dir).save(run_dir)
     print(f"{len(groups)} (d, r_rx) groups -> {out}")
     for g in groups:
         cells = ", ".join(f"{m}={v:.2f}" for m, v in g.mean_rmse.items())
@@ -192,6 +193,7 @@ def _cmd_export(args) -> int:
             models[f"{kind.value}_ann"] = forward(load_network(net_path), p)
     out = Path(args.out) if args.out else run_dir / "exports" / f"case_{case_key(p, cfg)}"
     written = analysis.export_curves(p, sim, models, out, cfg.n_molecules)
+    RunManifest.load(run_dir).save(run_dir)
     print(f"exported {len(written)} files -> {out}")
     return EXIT_OK
 
@@ -207,21 +209,21 @@ def _cmd_pipeline(args) -> int:
         tds_grid, vds_grid = reduced_grids()
     kinds = [ModelKind.PRIMITIVE, ModelKind.ENHANCED] if args.model == "both" \
         else [ModelKind(args.model)]
-    n_vds = 0
+    tds_records = run_phase1(tds_grid, cfg, kinds, out_dir, n_workers=args.workers)
+    print(f"phase1 TDS: {len(tds_records)} records")
+    nets = {}
     for kind in kinds:
-        tds_records = run_phase1(tds_grid, cfg, kind, out_dir, n_workers=args.workers)
-        print(f"phase1 TDS {kind.value}: {len(tds_records)} records")
-        net, report = run_phase2(tds_records, hidden=args.hidden, seed=args.seed,
-                                 out_dir=out_dir)
+        nets[kind], report = run_phase2([r for r in tds_records if r.output.kind is kind],
+                                        hidden=args.hidden, seed=args.seed, out_dir=out_dir)
         print(f"phase2 {kind.value}: epochs={report.epochs} E_D={report.e_d:.3e}")
-        vds_records = run_phase1(vds_grid, cfg, kind, out_dir, n_workers=args.workers)
-        print(f"phase1 VDS {kind.value}: {len(vds_records)} records")
-        n_vds += len(vds_records)
-        predictions = predict_vds(net, [r.input for r in vds_records])
+    vds_records = run_phase1(vds_grid, cfg, kinds, out_dir, n_workers=args.workers)
+    print(f"phase1 VDS: {len(vds_records)} records")
+    for kind, net in nets.items():
+        predictions = predict_vds(net, [r.input for r in vds_records if r.output.kind is kind])
         write_records_csv(predictions, out_dir / f"predictions_{kind.value}.csv")
     manifest = RunManifest.load(out_dir)
     # with every VDS case failed there is nothing to evaluate, only failures to report
-    if n_vds:
+    if vds_records:
         t0 = time.perf_counter()
         eval_path = out_dir / "evaluation" / "rmse_groups.csv"
         groups = _evaluate(out_dir, cfg, eval_path)

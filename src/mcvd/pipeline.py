@@ -18,6 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -290,7 +291,8 @@ def signal_path(run_dir: Path, p: SystemParams, cfg: SimConfig) -> Path:
 
 @dataclass
 class RunManifest:
-    seed: int
+    """A run directory's simulation configuration, stage log and per-case
+    failures; each save also lists the files the directory holds."""
     sim_config: dict
     stages: list = field(default_factory=list)
     failures: list = field(default_factory=list)
@@ -317,7 +319,6 @@ class RunManifest:
                  for root, _dirs, names in os.walk(out_dir) for name in names]
         payload = {
             "format_version": FORMAT_VERSION,
-            "seed": self.seed,
             "sim_config": self.sim_config,
             "stages": self.stages,
             "artifacts": sorted(f for f in files if f != "manifest.json"),
@@ -329,7 +330,7 @@ class RunManifest:
     def load(out_dir: Path) -> "RunManifest":
         path = RunManifest.path_in(out_dir)
         data = _read_json(path)
-        fields = {"seed": int, "sim_config": dict, "stages": list, "failures": list}
+        fields = {"sim_config": dict, "stages": list, "failures": list}
         for name, kind in fields.items():
             if not isinstance(data.get(name), kind):
                 raise ValidationError(f"manifest {path} lacks a {kind.__name__} {name!r}")
@@ -361,34 +362,36 @@ def run_config(run_dir: Path) -> SimConfig:
         raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
 
 
-def _load_or_create_manifest(out_dir: Path, seed: int, sim_config: dict) -> RunManifest:
+def _load_or_create_manifest(out_dir: Path, sim_config: dict) -> RunManifest:
     try:
         return RunManifest.load(out_dir)
     except MissingArtifactError:
-        return RunManifest(seed=seed, sim_config=sim_config)
+        return RunManifest(sim_config=sim_config)
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages
 
 
-def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
+def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
                out_dir: Path, n_workers: int = 1) -> list[CaseRecord]:
-    """Simulate and fit every grid case; persist the signals and the records.
+    """Simulate every grid case once and fit each of ``kinds`` to its signal;
+    persist the signals and one ``records_<label>_<kind>.csv`` per kind.
+    The records are returned kind by kind, each kind's in grid order.
 
     A case whose signal file exists (same parameters, configuration and
     simulator version) is read instead of simulated; every case is fitted
-    again, so a resumed run reuses the simulations and rewrites
-    ``records_<label>_<kind>.csv``.
+    again, so a resumed run reuses the simulations and rewrites the records.
 
     With ``n_workers > 1`` up to that many threads read or simulate the
     cases. The kernels run in one pool of ``min(n_workers, fresh cases)``
     worker processes, opened for this call and started before any thread,
     so no process forks while threads run; each thread waits for its case's
     kernel. This thread writes every file, in grid order, and fits every
-    case. A case that fails does not stop the rest of the grid: it is
-    recorded in the manifest's failures under this stage's name, replacing
-    the stage's entries from an earlier run. A worker that dies breaks the
+    case. A case that fails does not stop the rest of the grid: the
+    manifest's failures record it under the stage ``phase1:<label>``, once
+    per kind whose fit failed or once if its signal did, replacing the
+    stage's entries from an earlier run. A worker that dies breaks the
     pool, so every case of the grid not yet finished fails; a rerun in the
     same directory reads the signals on disk and simulates only those. The
     manifest records the stage's duration and case counts. A run directory
@@ -399,10 +402,10 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
         raise ValidationError("n_workers must be >= 1")
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
-    kind = ModelKind(kind)
-    stage = f"phase1:{grid.label.value}:{kind.value}"
+    records: dict[ModelKind, list[CaseRecord]] = {ModelKind(k): [] for k in kinds}
+    stage = f"phase1:{grid.label.value}"
     sim_config = _sim_config_dict(cfg)
-    manifest = _load_or_create_manifest(out_dir, cfg.seed, sim_config)
+    manifest = _load_or_create_manifest(out_dir, sim_config)
     # an empty configuration comes from a run that only trained a network
     if manifest.sim_config and manifest.sim_config != sim_config:
         raise ValidationError(f"{out_dir} holds a run under another simulation "
@@ -440,30 +443,34 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kind: ModelKind,
         if is_new and isinstance(outcome, ReceivedSignal):
             write_signal_csv(outcome, path)
 
-    records: list[CaseRecord] = []
     for p, outcome in zip(cases, outcomes):
-        if isinstance(outcome, ReceivedSignal):
-            try:
-                records.append(CaseRecord(p, fit(FitProblem(p, outcome, kind)).model,
-                                          grid.label))
-                continue
-            except Exception as exc:
-                outcome = exc
-        manifest.failures.append({
+        errors = []
+        if not isinstance(outcome, ReceivedSignal):
+            errors.append((str(outcome), outcome))
+        else:
+            for kind, recs in records.items():
+                try:
+                    recs.append(
+                        CaseRecord(p, fit(FitProblem(p, outcome, kind)).model, grid.label))
+                except Exception as exc:
+                    errors.append((f"{kind.value} fit: {exc}", exc))
+        manifest.failures.extend({
             "stage": stage,
             "case": [_fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff)],
-            "error": str(outcome),
-            "numeric": isinstance(outcome, NumericError),
-        })
+            "error": message,
+            "numeric": isinstance(exc, NumericError),
+        } for message, exc in errors)
 
-    write_records_csv(records, out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv")
+    for kind, recs in records.items():
+        write_records_csv(recs, out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv")
     got = [isinstance(outcome, ReceivedSignal) for outcome in outcomes]
     manifest.add_stage(stage, time.perf_counter() - t0,
                        simulated=sum(g and f for g, f in zip(got, fresh)),
                        resumed=sum(g and not f for g, f in zip(got, fresh)),
-                       failed=len(cases) - len(records))
+                       failed=len({tuple(f["case"]) for f in manifest.failures
+                                   if f.get("stage") == stage}))
     manifest.save(out_dir)
-    return records
+    return [r for recs in records.values() for r in recs]
 
 
 def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
@@ -486,7 +493,7 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     }
     report_path = out_dir / f"train_report_{net.kind.value}.json"
     _atomic_write(report_path, json.dumps(report_payload, indent=1) + "\n")
-    manifest = _load_or_create_manifest(out_dir, seed, {})
+    manifest = _load_or_create_manifest(out_dir, {})
     manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
     manifest.save(out_dir)
     return net, report

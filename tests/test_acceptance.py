@@ -174,7 +174,7 @@ def generalization_run(tmp_path_factory):
     vds_grid = ParameterGrid((3.0, 5.0, 7.0), (6.0, 8.0), (70.0,), (6.0, 8.0),
                              Provenance.VDS)
     tds_cfg = SimConfig(n_molecules=3000, n_replications=10, grid=grid, seed=505)
-    records = run_phase1(tds_grid, tds_cfg, ModelKind.ENHANCED, out)
+    records = run_phase1(tds_grid, tds_cfg, [ModelKind.ENHANCED], out)
     net, _report = train(records, hidden=16, seed=0)
     vds_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=707)
     fit_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=FIT_SEED)
@@ -257,8 +257,8 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     grid = ParameterGrid((2.0, 4.0), (3.0,), (80.0,), (5.0,), Provenance.TDS)
     cfg = SimConfig(n_molecules=200, n_replications=2, grid=TimeGrid(5e-3, 0.2),
                     seed=9, substep_factor=1)
-    recs_a = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "a", n_workers=1)
-    recs_b = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "b", n_workers=8)
+    recs_a = run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path / "a", n_workers=1)
+    recs_b = run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path / "b", n_workers=8)
     run_phase2(recs_a + recs_a + recs_a + recs_a + recs_a, hidden=4, seed=3,
                out_dir=tmp_path / "a")
     run_phase2(recs_b + recs_b + recs_b + recs_b + recs_b, hidden=4, seed=3,

@@ -72,6 +72,12 @@ def _tree(root: Path) -> dict[str, bytes]:
             for f in root.rglob("*") if f.is_file()}
 
 
+def _artifacts_match_disk(run: Path) -> bool:
+    """Whether the manifest lists every other file of the run, sorted."""
+    listed = json.loads((run / "manifest.json").read_text())["artifacts"]
+    return listed == sorted(set(_tree(run)) - {"manifest.json"})
+
+
 class TestSimulateCommand:
     def test_writes_signal(self, tmp_path):
         out = tmp_path / "sig.csv"
@@ -130,9 +136,11 @@ class TestPipelineArtifacts:
         assert not (out / "records").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == []
-        # the manifest lists every other file of the run, sorted
-        on_disk = {f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()}
-        assert manifest["artifacts"] == sorted(on_disk - {"manifest.json"})
+        # each grid is simulated and fitted for both kinds in one phase-1 stage
+        assert [s["name"] for s in manifest["stages"]] == [
+            "phase1:TDS", "phase2:primitive", "phase2:enhanced", "phase1:VDS", "evaluate"]
+        assert "seed" not in manifest
+        assert _artifacts_match_disk(out)
 
     def test_groups_csv_shape(self, pipeline_run):
         lines = (pipeline_run / "evaluation" / "rmse_groups.csv").read_text().splitlines()
@@ -175,6 +183,23 @@ class TestPipelineArtifacts:
         assert run_cli(*args, "--molecules", "200") == EXIT_VALIDATION
         assert _tree(run) == before
         assert run_cli(*args) == EXIT_OK
+
+    def test_export_lists_its_files_in_the_manifest(self, pipeline_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        assert run_cli("export", "--run", str(run), "--d", "7", "--rtx", "4",
+                       "--rrx", "8", "--D", "70") == EXIT_OK
+        assert any(run.glob("exports/case_*/*.svg"))
+        assert _artifacts_match_disk(run)
+
+    def test_evaluate_lists_its_files_in_the_manifest(self, pipeline_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        shutil.rmtree(run / "evaluation")
+        mcvd.pipeline.RunManifest.load(run).save(run)
+        assert run_cli("evaluate", "--run", str(run)) == EXIT_OK
+        assert (run / "evaluation" / "rmse_groups.csv").exists()
+        assert _artifacts_match_disk(run)
 
     def test_export_unknown_case_exit_2(self, pipeline_run, tmp_path):
         code = run_cli("export", "--run", str(pipeline_run),
@@ -220,7 +245,7 @@ class TestPipelineFailures:
                        "--workers", "2")
         assert code == EXIT_NUMERIC
         failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
-        assert [(f["stage"], f["numeric"]) for f in failures] == [("phase1:VDS:primitive", True)]
+        assert [(f["stage"], f["numeric"]) for f in failures] == [("phase1:VDS", True)]
 
     def test_numeric_failure_in_worker_process_exit_3(self, tmp_path, monkeypatch):
         # patched before the pool forks, so the workers run the stand-in
@@ -229,7 +254,7 @@ class TestPipelineFailures:
         assert code == EXIT_NUMERIC
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [(f["stage"], f["case"][:3], f["numeric"]) for f in manifest["failures"]] \
-            == [("phase1:VDS:primitive", ["11", "8", "8"], True)]
+            == [("phase1:VDS", ["11", "8", "8"], True)]
         assert "non-finite positions" in manifest["failures"][0]["error"]
 
     # the case whose worker dies as BAD_CASE and as (d, r_tx, r_rx), the
@@ -257,9 +282,9 @@ class TestPipelineFailures:
         failures = manifest["failures"]
         assert n_failed[0] <= len(failures) <= n_failed[1]
         assert case in [f["case"][:3] for f in failures]
-        assert all(f["stage"] == "phase1:VDS:primitive" and not f["numeric"]
+        assert all(f["stage"] == "phase1:VDS" and not f["numeric"]
                    and "not in a worker" not in f["error"] for f in failures)
-        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
+        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS"]
         assert vds[-1]["failed"] == len(failures)
         assert (tmp_path / "evaluation" / "rmse_groups.csv").exists() == evaluated
 
@@ -267,7 +292,7 @@ class TestPipelineFailures:
         assert run_cli(*args) == EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failures"] == []
-        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS:primitive"]
+        vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS"]
         assert (vds[-1]["simulated"], vds[-1]["resumed"]) == (len(failures), 12 - len(failures))
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -430,7 +455,7 @@ class TestCorruptedArtifacts:
     @CORRUPTION
     def test_manifest_json(self, pipeline_run, tmp_path_factory, data):
         original = (pipeline_run / "manifest.json").read_text()
-        keys = ("seed", "sim_config", "stages", "failures")
+        keys = ("sim_config", "stages", "failures")
         run = tmp_path_factory.mktemp("bad")
         (run / "manifest.json").write_text(data.draw(corrupted_json(original, keys)))
         assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION
@@ -438,7 +463,7 @@ class TestCorruptedArtifacts:
     def test_manifest_failure_that_is_not_an_object(self, pipeline_run, tmp_path):
         # a resumed phase 1 filters the failures by stage before it runs
         manifest = json.loads((pipeline_run / "manifest.json").read_text())
-        manifest["failures"] = ["phase1:TDS:primitive"]
+        manifest["failures"] = ["phase1:TDS"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("pipeline", "--out", str(tmp_path), *TestPipelineFailures.SMALL_RUN) \
             == EXIT_VALIDATION

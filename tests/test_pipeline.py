@@ -137,7 +137,7 @@ class TestPhase1:
         from mcvd.pipeline import ParameterGrid
         grid = ParameterGrid((3.0,), (0.0,), (100.0,), (5.0,), Provenance.TDS)
         cfg = tiny_cfg()
-        records = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        records = run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         assert len(records) == 1
         p = grid.cases()[0]
         sig_path = tmp_path / "signals" / f"sig_{case_key(p, cfg)}.csv"
@@ -151,26 +151,52 @@ class TestPhase1:
         assert np.array_equal(refit.model.coefficients(),
                               records[0].output.coefficients())
 
-    def test_rerun_reuses_artifacts_bitwise(self, tmp_path):
+    def test_rerun_reuses_artifacts_bitwise(self, tmp_path, monkeypatch):
+        import mcvd.pipeline
+        calls = []
+
+        def counted(name):
+            real = getattr(mcvd.pipeline, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("simulate_case", "read_signal_csv"):
+            monkeypatch.setattr(mcvd.pipeline, name, counted(name))
         grid = tiny_grid()
         cfg = tiny_cfg(seed=5)
-        first = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
-        stamp = {f: f.stat().st_mtime_ns
-                 for f in (tmp_path / "signals").iterdir()}
-        second = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
-        for f in (tmp_path / "signals").iterdir():
-            assert f.stat().st_mtime_ns == stamp[f]  # no recomputation
-        for a, b in zip(first, second):
-            assert np.array_equal(a.output.coefficients(), b.output.coefficients())
+        # one kind, then both kinds fitted to the one signal of each case
+        for kinds in ([ModelKind.ENHANCED], [ModelKind.PRIMITIVE, ModelKind.ENHANCED]):
+            run = tmp_path / str(len(kinds))
+            calls.clear()
+            first = run_phase1(grid, cfg, kinds, run)
+            assert calls == ["simulate_case"] * grid.case_count()
+            assert [r.output.kind for r in first] \
+                == [k for k in kinds for _ in range(grid.case_count())]
+            stamp = {f: f.stat().st_mtime_ns for f in (run / "signals").iterdir()}
+            calls.clear()
+            second = run_phase1(grid, cfg, kinds, run)
+            assert calls == ["read_signal_csv"] * grid.case_count()
+            for f in (run / "signals").iterdir():
+                assert f.stat().st_mtime_ns == stamp[f]  # no recomputation
+            for a, b in zip(first, second, strict=True):
+                assert np.array_equal(a.output.coefficients(), b.output.coefficients())
+            # each kind's records are those of a call for that kind alone
+            for kind in kinds:
+                run_phase1(grid, cfg, [kind], tmp_path / "single")
+                name = f"records_tds_{kind.value}.csv"
+                assert (run / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
     def test_permuted_grid_gives_identical_signals(self, tmp_path):
         from mcvd.pipeline import ParameterGrid
         axes = ((2.0, 3.0), (0.0, 2.0), (60.0, 100.0), (4.0, 5.0))
         cfg = tiny_cfg(seed=9)
-        run_phase1(ParameterGrid(*axes, Provenance.TDS), cfg, ModelKind.PRIMITIVE,
+        run_phase1(ParameterGrid(*axes, Provenance.TDS), cfg, [ModelKind.PRIMITIVE],
                    tmp_path / "fwd")
         run_phase1(ParameterGrid(*(a[::-1] for a in axes), Provenance.TDS), cfg,
-                   ModelKind.PRIMITIVE, tmp_path / "rev", n_workers=2)
+                   [ModelKind.PRIMITIVE], tmp_path / "rev", n_workers=2)
         fwd = sorted((tmp_path / "fwd" / "signals").iterdir())
         assert len(fwd) == 16
         for f in fwd:
@@ -179,7 +205,7 @@ class TestPhase1:
     def test_resume_simulates_only_missing_signals(self, tmp_path):
         grid = tiny_grid()
         cfg = tiny_cfg(seed=5)
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         records = tmp_path / "records_tds_enhanced.csv"
         before = records.read_bytes()
         signals = sorted((tmp_path / "signals").iterdir())
@@ -187,7 +213,7 @@ class TestPhase1:
         lost_bytes = lost.read_bytes()
         lost.unlink()
         stamp = {f: f.stat().st_mtime_ns for f in kept}
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         assert lost.read_bytes() == lost_bytes
         assert all(f.stat().st_mtime_ns == stamp[f] for f in kept)
         assert records.read_bytes() == before
@@ -198,16 +224,20 @@ class TestPhase1:
         grid = ParameterGrid((2.0, 40.0), (0.0,), (100.0,), (5.0,), Provenance.TDS)
         cfg = tiny_cfg()
         for _ in range(2):
-            records = run_phase1(grid, cfg, ModelKind.PRIMITIVE, tmp_path)
+            records = run_phase1(grid, cfg, [ModelKind.PRIMITIVE], tmp_path)
             failures = RunManifest.load(tmp_path).failures
             assert len(records) == 1
-            assert [(f["stage"], f["case"][0]) for f in failures] == [("phase1:TDS:primitive", "40")]
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
-        assert len(RunManifest.load(tmp_path).failures) == 2
+            assert [(f["stage"], f["case"][0]) for f in failures] == [("phase1:TDS", "40")]
+        # one entry per kind whose fit failed, naming the kind
+        run_phase1(grid, cfg, [ModelKind.PRIMITIVE, ModelKind.ENHANCED], tmp_path)
+        manifest = RunManifest.load(tmp_path)
+        assert [f["error"].split(" fit: ")[0] for f in manifest.failures] \
+            == ["primitive", "enhanced"]
+        assert manifest.stages[-1]["failed"] == 1
 
     def test_record_count_matches_case_count(self, tmp_path):
         grid = tiny_grid()
-        records = run_phase1(grid, tiny_cfg(), ModelKind.PRIMITIVE, tmp_path)
+        records = run_phase1(grid, tiny_cfg(), [ModelKind.PRIMITIVE], tmp_path)
         assert len(records) == grid.case_count()
         manifest = RunManifest.load(tmp_path)
         assert manifest.failures == []
@@ -215,7 +245,7 @@ class TestPhase1:
     def test_manifest_lists_artifacts(self, tmp_path):
         grid = tiny_grid()
         cfg = tiny_cfg()
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for p in grid.cases():
             rel = f"signals/sig_{case_key(p, cfg)}.csv"
@@ -228,7 +258,7 @@ class TestPhase1:
         from mcvd.types import NumericError
         grid = tiny_grid()
         cfg = tiny_cfg()
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         lost = tmp_path / "signals" / f"sig_{case_key(grid.cases()[1], cfg)}.csv"
         lost.unlink()
         real = mcvd.pipeline.simulate_case
@@ -240,7 +270,7 @@ class TestPhase1:
 
         # the rerun fails to simulate the case whose signal was deleted
         monkeypatch.setattr(mcvd.pipeline, "simulate_case", failing_for_d4)
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path, n_workers=2)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [f["case"][0] for f in manifest["failures"]] == ["4"]
         assert f"signals/sig_{case_key(grid.cases()[0], cfg)}.csv" in manifest["artifacts"]
@@ -250,22 +280,24 @@ class TestPhase1:
 
     def test_manifest_with_artifact_dict_resumes(self, tmp_path):
         # a manifest that keyed its artifacts by name and kept grid hashes
-        # still resumes, and its next save lists the directory instead
+        # and a seed still resumes, and its next save lists the directory
+        # instead and drops the seed
         grid = tiny_grid()
         cfg = tiny_cfg(seed=5)
-        first = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "a")
+        first = run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path / "a")
         shutil.copytree(tmp_path / "a", tmp_path / "b")
         path = tmp_path / "b" / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["grid_hashes"] = {"TDS": "0123456789abcdef"}
+        manifest["seed"] = 5
         manifest["artifacts"] = {f"artifact_{i}": rel
                                  for i, rel in enumerate(manifest["artifacts"])}
         path.write_text(json.dumps(manifest))
-        resumed = run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path / "b")
+        resumed = run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path / "b")
         assert [r.output.coefficients().tolist() for r in resumed] \
             == [r.output.coefficients().tolist() for r in first]
         manifest = json.loads(path.read_text())
-        assert "grid_hashes" not in manifest
+        assert "grid_hashes" not in manifest and "seed" not in manifest
         assert manifest["artifacts"] == json.loads(
             (tmp_path / "a" / "manifest.json").read_text())["artifacts"]
         assert manifest["stages"][-1]["resumed"] == grid.case_count()
@@ -273,21 +305,21 @@ class TestPhase1:
     def test_worker_count_below_one_rejected(self, tmp_path):
         for n_workers in (0, -2):
             with pytest.raises(ValidationError):
-                run_phase1(tiny_grid(), tiny_cfg(), ModelKind.ENHANCED, tmp_path,
+                run_phase1(tiny_grid(), tiny_cfg(), [ModelKind.ENHANCED], tmp_path,
                            n_workers=n_workers)
         assert not (tmp_path / "manifest.json").exists()
 
     def test_process_pool_capped_at_fresh_case_count(self, tmp_path, monkeypatch):
         sizes = RecordingPool.install(monkeypatch)
         grid = tiny_grid()
-        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "a", n_workers=8)
+        run_phase1(grid, tiny_cfg(), [ModelKind.ENHANCED], tmp_path / "a", n_workers=8)
         assert sizes == [2]
-        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "b", n_workers=10000)
+        run_phase1(grid, tiny_cfg(), [ModelKind.ENHANCED], tmp_path / "b", n_workers=10000)
         assert sizes == [2, 2]
         # a rerun with every signal on disk simulates nothing and opens no pool
-        run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "b", n_workers=8)
+        run_phase1(grid, tiny_cfg(), [ModelKind.ENHANCED], tmp_path / "b", n_workers=8)
         assert sizes == [2, 2]
-        serial = run_phase1(grid, tiny_cfg(), ModelKind.ENHANCED, tmp_path / "c")
+        serial = run_phase1(grid, tiny_cfg(), [ModelKind.ENHANCED], tmp_path / "c")
         assert sizes == [2, 2]
         for f in sorted((tmp_path / "c" / "signals").iterdir()):
             assert f.read_bytes() == (tmp_path / "a" / "signals" / f.name).read_bytes()
@@ -307,7 +339,7 @@ class TestPhase1:
         before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            records = run_phase1(tiny_grid(), tiny_cfg(), ModelKind.ENHANCED, tmp_path,
+            records = run_phase1(tiny_grid(), tiny_cfg(), [ModelKind.ENHANCED], tmp_path,
                                  n_workers=2)
         assert len(records) == 2
         assert threads_at_fork == [before, before]
@@ -315,12 +347,12 @@ class TestPhase1:
     def test_stage_reports_duration_and_case_counts(self, tmp_path):
         grid = tiny_grid()
         cfg = tiny_cfg(seed=5)
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path, n_workers=2)
         (tmp_path / "signals" / f"sig_{case_key(grid.cases()[0], cfg)}.csv").unlink()
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path, n_workers=2)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path, n_workers=2)
         stages = RunManifest.load(tmp_path).stages
         counts = [(s["name"], s["simulated"], s["resumed"], s["failed"]) for s in stages]
-        assert counts == [("phase1:TDS:enhanced", 2, 0, 0), ("phase1:TDS:enhanced", 1, 1, 0)]
+        assert counts == [("phase1:TDS", 2, 0, 0), ("phase1:TDS", 1, 1, 0)]
         assert all(isinstance(s["duration_s"], float) and s["duration_s"] >= 0.0
                    for s in stages)
 

@@ -246,7 +246,7 @@ class TestSimulateBatch:
         p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
         cfg = small_cfg(seed=5)
         grid = ParameterGrid((p.d,), (p.r_tx,), (p.diff_coeff,), (p.r_rx,), Provenance.TDS)
-        run_phase1(grid, cfg, ModelKind.ENHANCED, tmp_path)
+        run_phase1(grid, cfg, [ModelKind.ENHANCED], tmp_path)
         batch = read_signal_csv(tmp_path / "signals" / f"sig_{case_key(p, cfg)}.csv")
         direct = simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
         assert np.array_equal(batch.cumulative_fraction, direct.cumulative_fraction)
