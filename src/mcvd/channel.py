@@ -1,12 +1,13 @@
 """Closed-form first-hitting channel models and the SIR metric.
 
-The point-transmitter hitting fraction is
+Every model is one curve,
 
-    F(t) = r_rx / (d + r_rx) * erfc(d / sqrt(4 D t)),
+    F(t) = b1 * r_rx / (d + r_rx) * erfc(d / ((4D)^b2 * t^b3)).
 
-the primitive model scales it by b1, and the enhanced model generalizes the
-denominator to (4D)^b2 * t^b3. erfc is the C library's, mapped over arrays
-element by element.
+The enhanced model fits all three coefficients. The primitive model fits b1
+at (b2, b3) = (1/2, 1/2), and the point-transmitter formula is the curve at
+(1, 1/2, 1/2), where the argument is d / sqrt(4 D t). erfc is the C
+library's, mapped over arrays element by element.
 """
 from __future__ import annotations
 
@@ -42,33 +43,26 @@ def erfc(x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+# (b2, b3) of the primitive model and of the point-transmitter formula
+POINT_EXPONENTS = (0.5, 0.5)
+POINT_FORMULA = ModelParams(ModelKind.PRIMITIVE, 1.0)
+
+
 def _amplitude(p: SystemParams) -> float:
     return p.r_rx / (p.d + p.r_rx)
 
 
-def _point_curve(p: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Point-transmitter fraction at an array of times; t == 0 maps to 0.
-
-    The argument is written as (4D)^0.5 * t^0.5 rather than sqrt(4 D t) so
-    that the enhanced model with b2 = b3 = 0.5 reduces to this expression
-    bit for bit, not merely to rounding error.
-    """
-    times = np.asarray(times, dtype=float)
-    out = np.zeros_like(times)
-    pos = times > 0.0
-    z = p.d / ((4.0 * p.diff_coeff) ** 0.5 * times[pos] ** 0.5)
-    out[pos] = _amplitude(p) * erfc(z)
-    return out
+def _erfc_argument(p: SystemParams, b2: float, b3: float, times: np.ndarray) -> np.ndarray:
+    return p.d / ((4.0 * p.diff_coeff) ** b2 * times ** b3)
 
 
 def _model_curve(p: SystemParams, m: ModelParams, times: np.ndarray) -> np.ndarray:
+    """Model values at an array of times; t == 0 maps to 0."""
     times = np.asarray(times, dtype=float)
-    if m.kind is ModelKind.PRIMITIVE:
-        return m.b1 * _point_curve(p, times)
+    b2, b3 = POINT_EXPONENTS if m.kind is ModelKind.PRIMITIVE else (m.b2, m.b3)
     out = np.zeros_like(times)
     pos = times > 0.0
-    z = p.d / ((4.0 * p.diff_coeff) ** m.b2 * times[pos] ** m.b3)
-    out[pos] = m.b1 * _amplitude(p) * erfc(z)
+    out[pos] = m.b1 * _amplitude(p) * erfc(_erfc_argument(p, b2, b3, times[pos]))
     return out
 
 
@@ -76,7 +70,7 @@ def point_hit_fraction(p: SystemParams, t: float) -> float:
     """Fraction of emitted molecules absorbed by time t, point transmitter."""
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    return float(_point_curve(p, np.array([t]))[0])
+    return float(_model_curve(p, POINT_FORMULA, np.array([t]))[0])
 
 
 def sample_model(p: SystemParams, m: ModelParams, grid: TimeGrid) -> ReceivedSignal:
@@ -86,7 +80,7 @@ def sample_model(p: SystemParams, m: ModelParams, grid: TimeGrid) -> ReceivedSig
 
 def sample_point_formula(p: SystemParams, grid: TimeGrid) -> ReceivedSignal:
     """Evaluate the point-transmitter formula at the grid's bin-end times."""
-    return ReceivedSignal(grid, _point_curve(p, grid.times()))
+    return ReceivedSignal(grid, _model_curve(p, POINT_FORMULA, grid.times()))
 
 
 def sir_curve(sig: ReceivedSignal, reference_end: float | None = None) -> np.ndarray:

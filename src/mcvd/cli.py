@@ -231,7 +231,9 @@ def _cmd_pipeline(args) -> int:
         print(f"pipeline complete: {len(groups)} RMSE groups -> {eval_path}")
     manifest.save(out_dir)
     if manifest.failures:
-        print(f"error: {len(manifest.failures)} failed cases; see 'failures' in "
+        # a case whose fits failed for both kinds has one failure per kind
+        cases = {(f["stage"], tuple(f["case"])) for f in manifest.failures}
+        print(f"error: {len(cases)} failed cases; see 'failures' in "
               f"{RunManifest.path_in(out_dir)}", file=sys.stderr)
         return EXIT_NUMERIC if any(f.get("numeric") for f in manifest.failures) \
             else EXIT_VALIDATION

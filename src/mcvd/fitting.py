@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _amplitude, erfc
+from .channel import POINT_EXPONENTS, _amplitude, _erfc_argument, erfc
 from .types import (
     ModelKind,
     ModelParams,
@@ -41,7 +41,7 @@ _SQRT_PI = math.sqrt(math.pi)
 BOUNDS_B1 = (0.1, 5.0)
 BOUNDS_B2 = (0.05, 1.5)
 BOUNDS_B3 = (0.05, 1.5)
-START_POINTS = {ModelKind.PRIMITIVE: (1.0,), ModelKind.ENHANCED: (1.0, 0.5, 0.5)}
+START_POINTS = {ModelKind.PRIMITIVE: (1.0,), ModelKind.ENHANCED: (1.0, *POINT_EXPONENTS)}
 
 LAMBDA_INIT_FACTOR = 1e-3     # scaled by max diag of J^T J at the start
 LAMBDA_MIN = 1e-12
@@ -84,26 +84,19 @@ class FitResult:
 
 def _curve_and_jacobian(p: SystemParams, kind: ModelKind, coeffs: np.ndarray,
                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Model values and the analytic Jacobian d f / d b at bin-end times."""
+    """The channel's model curve and its analytic Jacobian d f / d b at
+    bin-end times; the primitive kind's Jacobian is the b1 column alone."""
+    b1, b2, b3 = coeffs if kind is ModelKind.ENHANCED else (coeffs[0], *POINT_EXPONENTS)
     amp = _amplitude(p)
-    if kind is ModelKind.PRIMITIVE:
-        z = p.d / ((4.0 * p.diff_coeff) ** 0.5 * times ** 0.5)
-        e = erfc(z)
-        f = coeffs[0] * amp * e
-        jac = (amp * e)[:, None]
-        return f, jac
-    b1, b2, b3 = coeffs
-    four_d = 4.0 * p.diff_coeff
-    z = p.d / (four_d ** b2 * times ** b3)
+    z = _erfc_argument(p, b2, b3, times)
     e = erfc(z)
-    f = b1 * amp * e
-    d_erfc = -2.0 / _SQRT_PI * np.exp(-z * z)
-    common = b1 * amp * d_erfc * z
-    jac = np.empty((times.size, 3))
+    jac = np.empty((times.size, coeffs.size))
     jac[:, 0] = amp * e
-    jac[:, 1] = common * (-math.log(four_d))
-    jac[:, 2] = common * (-np.log(times))
-    return f, jac
+    if kind is ModelKind.ENHANCED:
+        common = b1 * amp * (-2.0 / _SQRT_PI * np.exp(-z * z)) * z
+        jac[:, 1] = common * (-math.log(4.0 * p.diff_coeff))
+        jac[:, 2] = common * (-np.log(times))
+    return b1 * amp * e, jac
 
 
 def fit(problem: FitProblem) -> FitResult:

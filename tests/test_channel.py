@@ -139,9 +139,11 @@ class TestSampleModel:
 
     def test_enhanced_identity_bitwise_equals_point_sampling(self, params):
         grid = TimeGrid(dt=1e-3, t_end=0.25)
-        a = sample_model(params, ModelParams(ModelKind.ENHANCED, 1.0, 0.5, 0.5), grid)
         b = sample_point_formula(params, grid)
-        assert np.array_equal(a.cumulative_fraction, b.cumulative_fraction)
+        for m in (ModelParams(ModelKind.ENHANCED, 1.0, 0.5, 0.5),
+                  ModelParams(ModelKind.PRIMITIVE, 1.0)):
+            a = sample_model(params, m, grid)
+            assert np.array_equal(a.cumulative_fraction, b.cumulative_fraction)
 
     def test_output_satisfies_signal_invariants(self, params):
         grid = TimeGrid(dt=1e-2, t_end=1.0)

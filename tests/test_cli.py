@@ -219,13 +219,19 @@ class TestPipelineFailures:
                   "--workers", "2")
 
     def test_cases_too_sparse_to_fit_exit_1(self, tmp_path, capsys):
-        # 50 molecules over 20 bins leave the far cases with too few hits to fit
-        code = run_cli("pipeline", "--out", str(tmp_path), *self.SMALL_RUN)
-        assert code == EXIT_VALIDATION
-        failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
-        assert failures and not any(f["numeric"] for f in failures)
-        assert f"{len(failures)} failed cases" in capsys.readouterr().err
-        assert (tmp_path / "evaluation" / "rmse_groups.csv").exists()
+        # 50 molecules over 20 bins leave the far cases with too few hits to
+        # fit; with both kinds such a case has one failure per kind and
+        # counts once
+        for model, per_case in (("primitive", 1), ("both", 2)):
+            out = tmp_path / model
+            code = run_cli("pipeline", "--out", str(out), *self.SMALL_RUN, "--model", model)
+            assert code == EXIT_VALIDATION
+            failures = json.loads((out / "manifest.json").read_text())["failures"]
+            assert failures and not any(f["numeric"] for f in failures)
+            cases = {(f["stage"], tuple(f["case"])) for f in failures}
+            assert len(failures) == per_case * len(cases)
+            assert f"error: {len(cases)} failed cases" in capsys.readouterr().err
+            assert (out / "evaluation" / "rmse_groups.csv").exists()
 
     @pytest.mark.parametrize("stage_fn", ["fit", "simulate_case"])
     def test_numeric_case_failure_exit_3(self, tmp_path, monkeypatch, stage_fn):

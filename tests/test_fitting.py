@@ -12,7 +12,8 @@ from mcvd import (
     fit,
     sample_model,
 )
-from mcvd.fitting import BOUNDS_B1, BOUNDS_B2, BOUNDS_B3, START_POINTS
+from mcvd.fitting import BOUNDS_B1, BOUNDS_B2, BOUNDS_B3, START_POINTS, _curve_and_jacobian
+from mcvd.pipeline import study_grids
 
 from checks import jacobian_check
 
@@ -128,6 +129,20 @@ class TestJacobian:
     def test_primitive_jacobian(self):
         p = SystemParams(d=4.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
         assert jacobian_check(p, ModelKind.PRIMITIVE, [1.3]) <= 1e-8
+
+
+class TestFittedCurveIsSampledCurve:
+    # the fitter minimizes the very curve that evaluation and export sample
+    @pytest.mark.parametrize("coeffs", [(0.6,), (1.0,), (1.7,), (1.0, 0.5, 0.5),
+                                        (0.8, 0.45, 0.6), (1.6, 0.7, 0.35)])
+    def test_bitwise_on_study_grid_points(self, coeffs):
+        model = ModelParams.from_coefficients(
+            ModelKind.PRIMITIVE if len(coeffs) == 1 else ModelKind.ENHANCED, coeffs)
+        tds, vds = study_grids()
+        for p in (tds.cases() + vds.cases())[::23]:
+            fitted, _ = _curve_and_jacobian(p, model.kind, np.array(coeffs), GRID.times())
+            sampled = sample_model(p, model, GRID).cumulative_fraction
+            assert np.array_equal(fitted, sampled), p
 
 
 class TestNoiseRobustness:
