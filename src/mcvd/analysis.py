@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import sample_model, sample_point_formula, sir_curve
 from .network import CaseRecord
-from .pipeline import _fmt, _atomic_write
+from .pipeline import _atomic_write, _fmt, _write_csv, _write_series
 from .svg import line_chart
 from .types import (
     MissingArtifactError,
@@ -100,17 +100,12 @@ def evaluate_vds(vds_sims: list[tuple[SystemParams, ReceivedSignal]],
     return out
 
 
-def groups_csv_text(groups: list[RmseGroup]) -> str:
-    lines = ["d_um,rrx_um,n_cases," + ",".join(METHODS)]
-    for g in groups:
-        cells = [_fmt(g.d), _fmt(g.r_rx), str(g.n_cases)]
-        cells += [(_fmt(g.mean_rmse[m]) if m in g.mean_rmse else "") for m in METHODS]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def write_groups_csv(groups: list[RmseGroup], path: Path) -> None:
-    _atomic_write(Path(path), groups_csv_text(groups))
+    """One row per group; a method absent from a group leaves its cell empty."""
+    _write_csv(path, ",".join(("d_um", "rrx_um", "n_cases", *METHODS)), (
+        [_fmt(g.d), _fmt(g.r_rx), str(g.n_cases),
+         *(_fmt(g.mean_rmse[m]) if m in g.mean_rmse else "" for m in METHODS)]
+        for g in groups))
 
 
 def export_curves(p: SystemParams, sim: ReceivedSignal,
@@ -130,26 +125,19 @@ def export_curves(p: SystemParams, sim: ReceivedSignal,
         curves[name] = sample_model(p, m, sim.grid)
 
     written: list[Path] = []
-
-    def put(path: Path, header: str, values: np.ndarray) -> None:
-        lines = [header]
-        lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values)]
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-
-    sim_end = sim.final_fraction
     signal_series = []
     sir_own_series = []
     sir_vs_sim_series = []
     for name, sig in curves.items():
-        put(out_dir / f"signal_{name}.csv", "time_s,cumulative_fraction",
-            sig.cumulative_fraction)
         sir_own = sir_curve(sig)
-        put(out_dir / f"sir_own_{name}.csv", "time_s,sir", sir_own)
-        sir_ref = sir_curve(sig, sim_end)
-        put(out_dir / f"sir_vs_sim_{name}.csv", "time_s,sir", sir_ref)
-        molecules = n_emitted * sig.cumulative_fraction
-        signal_series.append((name, times, molecules))
+        sir_ref = sir_curve(sig, sim.final_fraction)
+        for stem, column, values in (("signal", "cumulative_fraction", sig.cumulative_fraction),
+                                     ("sir_own", "sir", sir_own),
+                                     ("sir_vs_sim", "sir", sir_ref)):
+            path = out_dir / f"{stem}_{name}.csv"
+            _write_series(path, column, times, values)
+            written.append(path)
+        signal_series.append((name, times, n_emitted * sig.cumulative_fraction))
         sir_own_series.append((name, times, sir_own))
         sir_vs_sim_series.append((name, times, sir_ref))
 

@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
+    except OSError as exc:  # a path of the wrong kind, say a directory given for a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

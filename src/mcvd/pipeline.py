@@ -1,15 +1,18 @@
 """End-to-end orchestration: parameter grids, simulation + fitting (phase 1),
 network training (phase 2), prediction, and file persistence.
 
-Every run lives in its own directory under a single manifest. Signals are
-CSV (`time_s,cumulative_fraction`), case records are CSV
-(`d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3`), networks are versioned JSON.
+Every run lives in its own directory under a single manifest. One writer and
+one reader here serve every artifact: CSV tables (signals and export series
+`time_s,<column>`, case records `d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3`)
+and JSON documents (networks, training reports, the manifest), whose
+`format_version` every reader checks against `FORMAT_VERSION`.
 All floats are serialized with 17 significant digits so artifacts round-trip
-bit-exactly; files are committed atomically (write temp, rename) which makes
-interrupted runs resumable: the signal of an already-simulated case is
-recognized by a content hash of its parameters, the configuration and the
-simulator version, and read instead of simulated again. Fits are not
-persisted per case; a rerun fits every case again, which is deterministic.
+bit-exactly; files are committed atomically (write temp, rename; a failed
+write deletes its temp file) which makes interrupted runs resumable: the
+signal of an already-simulated case is recognized by a content hash of its
+parameters, the configuration and the simulator version, and read instead
+of simulated again. Fits are not persisted per case; a rerun fits every case
+again, which is deterministic.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -124,8 +127,12 @@ def reduced_grids() -> tuple[ParameterGrid, ParameterGrid]:
 
 def _atomic_write(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_text(path: Path) -> str:
@@ -137,78 +144,84 @@ def _read_text(path: Path) -> str:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """A header line, then one line of comma-separated cells per row."""
+    lines = [header, *(",".join(cells) for cells in rows)]
+    _atomic_write(Path(path), "\n".join(lines) + "\n")
+
+
+def _read_csv(path: Path, header: str) -> list[list[str]]:
+    """The cells of every row after the header line, which must be ``header``."""
+    lines = _read_text(path).strip().split("\n")
+    if lines[0] != header:
+        raise ValidationError(f"unexpected CSV header in {path}: expected {header!r}")
+    return [line.split(",") for line in lines[1:]]
+
+
+def _write_series(path: Path, column: str, times: np.ndarray, values: np.ndarray) -> None:
+    """A time series: ``time_s,<column>``, one row per bin."""
+    _write_csv(path, f"time_s,{column}", ((_fmt(t), _fmt(v)) for t, v in zip(times, values)))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """A JSON artifact: ``format_version`` first, then ``payload``'s keys."""
+    _atomic_write(Path(path), json.dumps({"format_version": FORMAT_VERSION, **payload},
+                                         indent=1) + "\n")
+
+
 def _read_json(path: Path) -> dict:
+    """A JSON artifact's object; any ``format_version`` but this one's is refused."""
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} does not hold a JSON object")
+    version = data.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # also refuses true and 1.0
+        raise ValidationError(f"unsupported format_version {version!r} in {path}; "
+                              f"this version reads {FORMAT_VERSION}")
     return data
 
 
-def signal_csv_text(sig: ReceivedSignal) -> str:
-    lines = ["time_s,cumulative_fraction"]
-    times = sig.grid.times()
-    for t, v in zip(times, sig.cumulative_fraction):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
-
-
 def write_signal_csv(sig: ReceivedSignal, path: Path) -> None:
-    _atomic_write(Path(path), signal_csv_text(sig))
+    _write_series(path, "cumulative_fraction", sig.grid.times(), sig.cumulative_fraction)
 
 
 def read_signal_csv(path: Path) -> ReceivedSignal:
     path = Path(path)
-    rows = _read_text(path).strip().split("\n")
-    if rows[0] != "time_s,cumulative_fraction":
-        raise ValidationError(f"unexpected signal CSV header in {path}")
-    if len(rows) < 2:
+    rows = _read_csv(path, "time_s,cumulative_fraction")
+    if not rows:
         raise ValidationError(f"no signal rows in {path}")
-    times = []
-    values = []
-    for row in rows[1:]:
-        try:
-            t_str, v_str = row.split(",")
-            times.append(float(t_str))
-            values.append(float(v_str))
-        except ValueError as exc:
-            raise ValidationError(f"malformed signal row {row!r} in {path}: {exc}") from exc
-    times = np.asarray(times)
+    try:
+        times = np.array([float(t) for t, _v in rows])
+        values = np.array([float(v) for _t, v in rows])
+    except ValueError as exc:
+        raise ValidationError(f"malformed signal row in {path}: {exc}") from exc
     grid = TimeGrid(dt=times[0], t_end=times[-1])
     if times.size != grid.n_bins or not np.all(np.abs(times - grid.times()) <= 1e-9 * grid.t_end):
         raise ValidationError(f"signal times in {path} are not evenly spaced")
-    return ReceivedSignal(grid, np.asarray(values))
+    return ReceivedSignal(grid, values)
 
 
-def _record_row(rec: CaseRecord) -> str:
-    p, m = rec.input, rec.output
-    b2 = _fmt(m.b2) if m.b2 is not None else ""
-    b3 = _fmt(m.b3) if m.b3 is not None else ""
-    return (f"{_fmt(p.d)},{_fmt(p.r_tx)},{_fmt(p.r_rx)},{_fmt(p.diff_coeff)},"
-            f"{m.kind.value},{_fmt(m.b1)},{b2},{b3}")
-
-
-def records_csv_text(records: list[CaseRecord]) -> str:
-    lines = ["d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3"]
-    lines.extend(_record_row(r) for r in records)
-    return "\n".join(lines) + "\n"
+_RECORDS_HEADER = "d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3"
 
 
 def write_records_csv(records: list[CaseRecord], path: Path) -> None:
-    _atomic_write(Path(path), records_csv_text(records))
+    # a primitive row leaves its b2 and b3 cells empty
+    _write_csv(path, _RECORDS_HEADER, (
+        [*map(_fmt, (r.input.d, r.input.r_tx, r.input.r_rx, r.input.diff_coeff)),
+         r.output.kind.value, _fmt(r.output.b1),
+         *("" if b is None else _fmt(b) for b in (r.output.b2, r.output.b3))]
+        for r in records))
 
 
 def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
     path = Path(path)
-    rows = _read_text(path).strip().split("\n")
-    if rows[0] != "d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3":
-        raise ValidationError(f"unexpected records CSV header in {path}")
     records = []
-    for row in rows[1:]:
+    for row in _read_csv(path, _RECORDS_HEADER):
         try:
-            d, rtx, rrx, dc, kind, b1, b2, b3 = row.split(",")
+            d, rtx, rrx, dc, kind, b1, b2, b3 = row
             params = SystemParams(d=float(d), r_tx=float(rtx), r_rx=float(rrx),
                                   diff_coeff=float(dc))
             # empty exponents are None, so ModelParams rejects a primitive row
@@ -216,14 +229,13 @@ def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
             model = ModelParams(ModelKind(kind), float(b1), float(b2) if b2 else None,
                                 float(b3) if b3 else None)
         except ValueError as exc:
-            raise ValidationError(f"malformed record row {row!r} in {path}: {exc}") from exc
+            raise ValidationError(f"malformed record row {row} in {path}: {exc}") from exc
         records.append(CaseRecord(params, model, provenance))
     return records
 
 
-def _network_payload(net: Network) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
+def save_network(net: Network, path: Path) -> None:
+    _write_json(path, {
         "kind": net.kind.value,
         "hidden": net.hidden,
         "out_dim": net.out_dim,
@@ -235,18 +247,12 @@ def _network_payload(net: Network) -> dict:
         "in_max": [_fmt(v) for v in net.in_max],
         "out_min": [_fmt(v) for v in net.out_min],
         "out_max": [_fmt(v) for v in net.out_max],
-    }
-
-
-def save_network(net: Network, path: Path) -> None:
-    _atomic_write(Path(path), json.dumps(_network_payload(net), indent=1) + "\n")
+    })
 
 
 def load_network(path: Path) -> Network:
     path = Path(path)
     data = _read_json(path)
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported network format in {path}")
     as_arr = lambda rows: np.array([[float(v) for v in row] for row in rows])
     as_vec = lambda row: np.array([float(v) for v in row])
     try:
@@ -317,14 +323,12 @@ class RunManifest:
         ``out_dir`` as of this save: relative POSIX paths, sorted."""
         files = [(Path(root) / name).relative_to(out_dir).as_posix()
                  for root, _dirs, names in os.walk(out_dir) for name in names]
-        payload = {
-            "format_version": FORMAT_VERSION,
+        _write_json(self.path_in(out_dir), {
             "sim_config": self.sim_config,
             "stages": self.stages,
             "artifacts": sorted(f for f in files if f != "manifest.json"),
             "failures": self.failures,
-        }
-        _atomic_write(self.path_in(out_dir), json.dumps(payload, indent=1) + "\n")
+        })
 
     @staticmethod
     def load(out_dir: Path) -> "RunManifest":
@@ -480,20 +484,17 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
         raise ValidationError("phase 2 requires a nonempty training dataset")
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
+    manifest = _load_or_create_manifest(out_dir, {})
     out_dir.mkdir(parents=True, exist_ok=True)
     net, report = train(tds, hidden=hidden, seed=seed)
     save_network(net, out_dir / f"network_{net.kind.value}.json")
-    report_payload = {
-        "format_version": FORMAT_VERSION,
+    _write_json(out_dir / f"train_report_{net.kind.value}.json", {
         "epochs": report.epochs,
         "e_d": _fmt(report.e_d), "e_w": _fmt(report.e_w),
         "alpha": _fmt(report.alpha), "beta": _fmt(report.beta),
         "gamma": _fmt(report.gamma),
         "degenerate_targets": report.degenerate_targets,
-    }
-    report_path = out_dir / f"train_report_{net.kind.value}.json"
-    _atomic_write(report_path, json.dumps(report_payload, indent=1) + "\n")
-    manifest = _load_or_create_manifest(out_dir, {})
+    })
     manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
     manifest.save(out_dir)
     return net, report

@@ -182,6 +182,21 @@ class TestPipelineArtifacts:
         args = ["pipeline", "--out", str(run), *PIPELINE_RUN]
         assert run_cli(*args, "--molecules", "200") == EXIT_VALIDATION
         assert _tree(run) == before
+        # a manifest of another format is refused by every command that
+        # reads it, before anything is written
+        manifest = run / "manifest.json"
+        case = ("--d", "7", "--rtx", "4", "--rrx", "8", "--D", "70")
+        for version in ("2", "1.0", "true"):
+            manifest.write_text(before["manifest.json"].decode().replace(
+                '"format_version": 1,', f'"format_version": {version},', 1))
+            other_format = _tree(run)
+            for command in (args, ["evaluate", "--run", str(run)],
+                            ["export", "--run", str(run), *case],
+                            ["train", "--records", str(run / "records_tds_enhanced.csv"),
+                             "--out", str(run)]):
+                assert run_cli(*command) == EXIT_VALIDATION
+                assert _tree(run) == other_format
+        manifest.write_bytes(before["manifest.json"])
         assert run_cli(*args) == EXIT_OK
 
     def test_export_lists_its_files_in_the_manifest(self, pipeline_run, tmp_path):
@@ -331,6 +346,26 @@ class TestInvalidArguments:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() or _tree(out) == {}
 
+    @pytest.mark.parametrize("command", ["fit", "train", "simulate", "pipeline"])
+    def test_path_of_the_wrong_kind_exit_1(self, tmp_path, capsys, command):
+        # a directory where a file is read or written, a file where a run
+        # directory goes
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+        a_dir.mkdir()
+        a_file.write_text("")
+        args = {
+            "fit": ("--signal", str(a_dir), "--d", "3", "--rrx", "6", "--D", "90"),
+            "train": ("--records", str(a_dir), "--out", str(tmp_path / "out")),
+            "simulate": ("--d", "4", "--rrx", "5", "--D", "100", "--molecules", "50",
+                         "--replications", "1", "--dt", "0.01", "--t-end", "0.1",
+                         "--out", str(a_dir)),
+            "pipeline": ("--out", str(a_file), *TestPipelineFailures.SMALL_RUN),
+        }[command]
+        assert run_cli(command, *args) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestParser:
     def test_full_study_flags_supported(self):
@@ -461,7 +496,7 @@ class TestCorruptedArtifacts:
     @CORRUPTION
     def test_manifest_json(self, pipeline_run, tmp_path_factory, data):
         original = (pipeline_run / "manifest.json").read_text()
-        keys = ("sim_config", "stages", "failures")
+        keys = ("format_version", "sim_config", "stages", "failures")
         run = tmp_path_factory.mktemp("bad")
         (run / "manifest.json").write_text(data.draw(corrupted_json(original, keys)))
         assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,9 @@ from mcvd import (
     CaseRecord,
     ModelKind,
     ModelParams,
+    Network,
     Provenance,
+    ReceivedSignal,
     SimConfig,
     SystemParams,
     TimeGrid,
@@ -22,6 +25,7 @@ from mcvd import (
     run_phase2,
     study_grids,
 )
+from mcvd.analysis import METHODS, RmseGroup, export_curves, write_groups_csv
 from mcvd.pipeline import (
     RunManifest,
     case_key,
@@ -78,7 +82,61 @@ class TestGrids:
         assert vds.case_count() == 12
 
 
+# Fixed inputs that go through neither erfc nor an RNG, so the bytes each
+# artifact format gives them depend on the writers alone.
+PINNED_SIGNAL = ReceivedSignal(TimeGrid(0.1, 0.4), np.array([0.0, 0.1, 0.2, 1 / 3]))
+PINNED_RECORDS = [
+    CaseRecord(SystemParams(d=2, r_tx=5, r_rx=7.5, diff_coeff=50),
+               ModelParams(ModelKind.ENHANCED, 1.0672915, 0.493, 0.512), Provenance.TDS),
+    CaseRecord(SystemParams(d=4, r_tx=10, r_rx=5, diff_coeff=100),
+               ModelParams(ModelKind.PRIMITIVE, 1.25), Provenance.TDS),
+]
+PINNED_GROUPS = [  # primitive_ann absent: its cells stay empty
+    RmseGroup(d=3.0, r_rx=4.0, n_cases=2,
+              mean_rmse={m: (i + 1) / 3 for i, m in enumerate(METHODS) if m != "primitive_ann"}),
+    RmseGroup(d=11.0, r_rx=8.0, n_cases=1,
+              mean_rmse={m: 0.1 * (i + 1) for i, m in enumerate(METHODS) if m != "primitive_ann"}),
+]
+PINNED_NETWORK = Network(
+    kind=ModelKind.ENHANCED,
+    w1=np.arange(8.0).reshape(2, 4) / 7, b1=np.array([0.1, -0.2]),
+    w2=np.arange(6.0).reshape(3, 2) / 3, b2=np.array([1 / 3, 2 / 3, 1.0]),
+    in_min=np.array([2.0, 5.0, 50.0, 5.0]), in_max=np.array([10.0, 10.0, 100.0, 10.0]),
+    out_min=np.array([0.5, 0.4, 0.4]), out_max=np.array([1.5, 0.6, 0.6]))
+
+
+def _export_simulation_signal(path):
+    export_curves(SystemParams(d=3, r_tx=0, r_rx=5, diff_coeff=80), PINNED_SIGNAL, {},
+                  path, n_emitted=1000)
+    return path / "signal_simulation.csv"
+
+
+def _written(write, obj):
+    def to(path):
+        write(obj, path)
+        return path
+    return to
+
+
+SIGNAL_SHA256 = "b92dc86296171cb10cebf7c4c58a18d76999470c335b5ec34be0f3c52ee2c6ee"
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("write, digest", [
+        (_written(write_signal_csv, PINNED_SIGNAL), SIGNAL_SHA256),
+        # the export bundle's simulation series is the signal CSV, byte for byte
+        (_export_simulation_signal, SIGNAL_SHA256),
+        (_written(write_records_csv, PINNED_RECORDS),
+         "163c73cdf75f1e776e005b075d4d4059632d4aa3a77994bccacb8ca14b967769"),
+        (_written(write_groups_csv, PINNED_GROUPS),
+         "ca5109784fc3baf971dcf9791adc404c09a17cc6bcbe94d15014f0dc66203202"),
+        (_written(save_network, PINNED_NETWORK),
+         "0454f2e5bf14c184caad5e3fe1ba2841f086e8801a39108e9590a368f23792d9"),
+    ], ids=["signal", "export_signal", "records", "groups", "network"])
+    def test_artifact_bytes_pinned(self, tmp_path, write, digest):
+        path = write(tmp_path / "artifact")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_signal_round_trip_is_bit_exact(self, tmp_path):
         p = SystemParams(d=3, r_tx=0, r_rx=5, diff_coeff=80)
         sig = simulate_case(p, tiny_cfg())
@@ -103,13 +161,7 @@ class TestSerialization:
                 read_signal_csv(path)
 
     def test_records_round_trip(self, tmp_path):
-        recs = [
-            CaseRecord(SystemParams(d=2, r_tx=5, r_rx=7.5, diff_coeff=50),
-                       ModelParams(ModelKind.ENHANCED, 1.0672915, 0.493, 0.512),
-                       Provenance.TDS),
-            CaseRecord(SystemParams(d=4, r_tx=10, r_rx=5, diff_coeff=100),
-                       ModelParams(ModelKind.PRIMITIVE, 1.25), Provenance.TDS),
-        ]
+        recs = PINNED_RECORDS
         path = tmp_path / "records.csv"
         write_records_csv(recs, path)
         text = path.read_text()
