@@ -112,6 +112,8 @@ def fit(problem: FitProblem) -> FitResult:
     times = problem.target.grid.times()
     target = problem.target.cumulative_fraction
     lo, hi = np.array(problem.bounds).T
+    # np.isclose's default tolerances, spelled out once
+    lo_tol, hi_tol = 1e-8 + 1e-5 * np.abs(lo), 1e-8 + 1e-5 * np.abs(hi)
     cap = STEP_CAP_FRACTION * (hi - lo)
     x = np.array(START_POINTS[problem.kind])
 
@@ -132,8 +134,8 @@ def fit(problem: FitProblem) -> FitResult:
         n_iter += 1
         grad = 2.0 * (jac.T @ resid)
         proj = grad.copy()
-        proj[np.isclose(x, lo) & (proj > 0)] = 0.0
-        proj[np.isclose(x, hi) & (proj < 0)] = 0.0
+        proj[(np.abs(x - lo) <= lo_tol) & (proj > 0)] = 0.0
+        proj[(np.abs(x - hi) <= hi_tol) & (proj < 0)] = 0.0
         if np.max(np.abs(proj)) < GRAD_TOL:
             converged = True
             break

@@ -286,6 +286,10 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     return net, report
 
 
+# (lower, upper) fitter bounds per kind, the rows forward clamps predictions to
+_CLAMP = {kind: np.array(default_bounds(kind)).T for kind in ModelKind}
+
+
 def forward(net: Network, p: SystemParams) -> ModelParams:
     """Predict model coefficients for one case, clamped to the fitter bounds.
 
@@ -294,11 +298,10 @@ def forward(net: Network, p: SystemParams) -> ModelParams:
     extrapolation is an expected use, not an error.
     """
     raw = _params_as_row(p)
-    if np.any(raw < net.in_min) or np.any(raw > net.in_max):
+    if logger.isEnabledFor(logging.INFO) and \
+            (np.any(raw < net.in_min) or np.any(raw > net.in_max)):
         logger.info("forward: input %s extrapolates beyond the training range", p)
     scaled = net.normalize_inputs(raw[None, :])
     out = net.denormalize_outputs(_forward_scaled(net, scaled)[0])
-    bounds = default_bounds(net.kind)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return ModelParams.from_coefficients(net.kind, np.clip(out, lo, hi))
+    lo, hi = _CLAMP[net.kind]
+    return ModelParams(net.kind, *np.clip(out, lo, hi).tolist())

@@ -7,6 +7,7 @@ are dimensionless cumulative fractions of the emitted molecule count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,7 +51,7 @@ class Provenance(str, Enum):
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
 

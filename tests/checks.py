@@ -16,6 +16,8 @@ def model_hit_fraction(p, m, t: float) -> float:
     """Primitive or enhanced model value at time t (0 at t = 0)."""
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
+    if t == 0:
+        return 0.0
     return float(_model_curve(p, m, np.array([t]))[0])
 
 

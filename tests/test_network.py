@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,58 @@ class TestForward:
         net = random_network(sym_range=5.0)
         p = SystemParams(d=50.0, r_tx=0.0, r_rx=50.0, diff_coeff=500.0)
         forward(net, p)  # no exception: logged, not raised
+
+
+def bound_spanning_dataset(kind, n=40, seed=8):
+    """Coefficients affine in d that reach the fitter bounds at the ends of
+    d's range, so a network trained on them predicts past the bounds when d
+    extrapolates."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(default_bounds(kind)).T
+    records = []
+    for _ in range(n):
+        d = rng.uniform(2, 10)
+        b = lo + (hi - lo) * (d - 2) / 8
+        params = SystemParams(d=d, r_tx=rng.uniform(4, 10), r_rx=rng.uniform(4, 10),
+                              diff_coeff=rng.uniform(50, 100))
+        records.append(CaseRecord(params, ModelParams.from_coefficients(kind, b),
+                                  Provenance.TDS))
+    return records
+
+
+class TestForwardOnTrainedNetworks:
+    @pytest.fixture(scope="class", params=["primitive", "enhanced"])
+    def net(self, request):
+        return train(bound_spanning_dataset(ModelKind(request.param)), hidden=4, seed=1)[0]
+
+    def test_bitwise_equal_to_the_unfused_expression(self, net):
+        bounds = default_bounds(net.kind)
+        lo = np.array([b[0] for b in bounds])
+        hi = np.array([b[1] for b in bounds])
+        rng = np.random.default_rng(5)
+        inside = rng.uniform(net.in_min, net.in_max, (60, 4))
+        outside = rng.uniform(net.in_min - 3 * (net.in_max - net.in_min),
+                              net.in_max + 3 * (net.in_max - net.in_min), (200, 4))
+        outside[:, [0, 2, 3]] = np.abs(outside[:, [0, 2, 3]]) + 0.1
+        outside[:, 1] = np.abs(outside[:, 1])
+        clamped = 0
+        for row in np.vstack([inside, outside]):
+            p = SystemParams(*row)
+            raw = np.array([[p.d, p.r_tx, p.r_rx, p.diff_coeff]])
+            unclipped = net.denormalize_outputs(_forward_scaled(net, net.normalize_inputs(raw)))
+            expected = np.clip(unclipped, lo, hi)[0]
+            clamped += int(np.any(expected != unclipped[0]))
+            got = forward(net, p)
+            assert got.kind is net.kind
+            assert got.coefficients().tobytes() == expected.tobytes()
+        assert clamped > 0
+
+    def test_extrapolation_logged_when_info_enabled(self, net, caplog):
+        caplog.set_level(logging.INFO, logger="mcvd.network")
+        forward(net, SystemParams(*((net.in_min + net.in_max) / 2)))
+        assert not caplog.records
+        forward(net, SystemParams(*(net.in_max + 1.0)))
+        assert len(caplog.records) == 1 and "extrapolates" in caplog.records[0].message
 
 
 class TestTrain:
