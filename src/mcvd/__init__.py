@@ -24,7 +24,7 @@ from .pipeline import (
     run_phase2,
     study_grids,
 )
-from .simulate import Geometry, SimConfig, build_geometry, simulate_case
+from .simulate import SimConfig, simulate_case
 from .types import (
     MissingArtifactError,
     ModelKind,

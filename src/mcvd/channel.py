@@ -33,6 +33,7 @@ __all__ = [
     "erfc",
     "point_hit_fraction",
     "sample_model",
+    "sample_point_formula",
     "sir_curve",
 ]
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import FitProblem, fit
+from .fitting import FitProblem, default_bounds, fit
 from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
 from .simulate import SIM_VERSION, SimConfig, case_seed, process_pool, simulate_case
 from .types import (
@@ -47,6 +47,7 @@ __all__ = [
     "ParameterGrid",
     "RunManifest",
     "study_grids",
+    "reduced_grids",
     "run_phase1",
     "run_phase2",
     "predict_vds",
@@ -265,7 +266,8 @@ def load_network(path: Path) -> Network:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network in {path}: {exc!r}") from exc
-    h, o = net.hidden, net.out_dim
+    # the kind fixes the output size; weights of another size are refused
+    h, o = net.hidden, len(default_bounds(net.kind))
     shapes = [a.shape for a in (net.w1, net.b1, net.w2, net.b2,
                                 net.in_min, net.in_max, net.out_min, net.out_max)]
     if shapes != [(h, N_INPUTS), (h,), (o, h), (o,), (N_INPUTS,), (N_INPUTS,), (o,), (o,)]:

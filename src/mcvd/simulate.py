@@ -1,10 +1,12 @@
 """Particle-based Monte Carlo simulation of 3D diffusion with a perfectly
 absorbing receiver sphere and an optional reflecting transmitter sphere.
 
-Geometry convention: the receiver sits at the origin; molecules are released
-at (r_rx + d, 0, 0). A spherical transmitter of radius r_tx is centered at
+Placement: a case is its ``SystemParams`` (d, r_tx, r_rx, D), and the kernel
+places it itself. The receiver sits at the origin; molecules are released at
+(r_rx + d, 0, 0). A spherical transmitter of radius r_tx > 0 is centered at
 (r_rx + d + r_tx, 0, 0), so the release point lies on its surface facing the
-receiver and the spheres cannot overlap.
+receiver and the spheres cannot overlap. Each substep moves every coordinate
+by a normal draw times sigma = sqrt(2 D dt_sub).
 
 Determinism contract: every (case, replication) pair draws from its own
 explicitly seeded PCG64 stream. The mixing function is
@@ -21,10 +23,11 @@ running kernels side by side mostly wait for one another. ``simulate_case``
 sends its replications to a process pool (its caller's, or one of its own
 when ``n_workers > 1``); with one worker and no pool they run in the calling
 thread. Workers are forked where the platform can fork, so they start with
-the package imported. Only a replication's inputs and its integer hit
-counts cross the process boundary, and integer sums do not depend on which
-process ran which replication, so the signal bytes do not depend on the
-worker count.
+the package imported. A replication receives the case's ``SystemParams``,
+the ``SimConfig`` and its own ``SeedSequence``, and returns its integer hit
+counts; nothing else crosses the process boundary. Integer sums do not
+depend on which process ran which replication, so the signal bytes do not
+depend on the worker count.
 
 Draw-order rule: a replication consumes its stream's standard normals in
 order, three per molecule in flight per substep (x, y, z of each molecule,
@@ -47,8 +50,6 @@ from .types import ReceivedSignal, SystemParams, TimeGrid, ValidationError
 
 __all__ = [
     "SimConfig",
-    "Geometry",
-    "build_geometry",
     "simulate_case",
     "process_pool",
     "case_seed",
@@ -98,33 +99,10 @@ class SimConfig:
         return self.n_molecules * self.n_replications
 
 
-@dataclass(frozen=True)
-class Geometry:
-    rx_radius: float
-    tx_radius: float
-    tx_center: np.ndarray | None
-    emission_point: np.ndarray
-
-    @property
-    def has_transmitter_body(self) -> bool:
-        return self.tx_radius > 0.0
-
-
-def build_geometry(p: SystemParams) -> Geometry:
-    """Place the receiver at the origin and the emission point d away from
-    its surface; a nonzero transmitter radius adds the reflecting body."""
-    emission = np.array([p.r_rx + p.d, 0.0, 0.0])
-    if p.r_tx > 0.0:
-        tx_center = np.array([p.r_rx + p.d + p.r_tx, 0.0, 0.0])
-    else:
-        tx_center = None
-    return Geometry(rx_radius=p.r_rx, tx_radius=p.r_tx, tx_center=tx_center,
-                    emission_point=emission)
-
-
-def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
+def _replication_hits(p: SystemParams, cfg: SimConfig,
                       seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """First-hit counts per output bin for one replication (vectorized).
+    """First-hit counts per output bin for one replication of case ``p``
+    (vectorized), placed as the module docstring states.
 
     Every step works in buffers allocated here once: the scaled normals of a
     chunk, the positions and the candidate moves (two (n, 3) buffers whose
@@ -132,20 +110,21 @@ def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
     first n rows are live, n being the molecules still in flight.
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
+    sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
     n = cfg.n_molecules
     hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
     steps = np.empty(max(_CHUNK, 3 * n))
     used = steps.size
-    pos = np.tile(geom.emission_point, (n, 1))
+    pos = np.tile((p.r_rx + p.d, 0.0, 0.0), (n, 1))
     cand = np.empty_like(pos)
     sq = np.empty_like(pos)
     d2rx = np.empty(n)
     outside_rx = np.empty(n, dtype=bool)
-    rx_r2 = geom.rx_radius * geom.rx_radius
-    has_tx = geom.has_transmitter_body
+    rx_r2 = p.r_rx * p.r_rx
+    has_tx = p.r_tx > 0.0
     if has_tx:
-        tx_x = float(geom.tx_center[0])
-        tx_r2 = geom.tx_radius * geom.tx_radius
+        tx_x = p.r_rx + p.d + p.r_tx
+        tx_r2 = p.r_tx * p.r_tx
         d2tx = np.empty(n)
         inside_tx = np.empty(n, dtype=bool)
     for j in range(cfg.grid.n_bins * cfg.substep_factor):
@@ -157,8 +136,8 @@ def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
             rng.standard_normal(out=steps[left:])
             steps[left:] *= sigma
             used = 0
-        p, c, s = pos[:n], cand[:n], sq[:n]
-        np.add(p, steps[used:used + need].reshape(n, 3), out=c)
+        x, c, s = pos[:n], cand[:n], sq[:n]
+        np.add(x, steps[used:used + need].reshape(n, 3), out=c)
         used += need
         np.square(c, out=s)
         r2 = d2rx[:n]
@@ -176,7 +155,7 @@ def _replication_hits(geom: Geometry, cfg: SimConfig, sigma: float,
             t2 += s[:, 2]
             back = np.less_equal(t2, tx_r2, out=inside_tx[:n]).nonzero()[0]
             if back.size:
-                c[back] = p[back]
+                c[back] = x[back]
         n_left = int(np.count_nonzero(keep))
         if n_left == n:
             pos, cand = cand, pos
@@ -221,16 +200,11 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
     if pool is None and n_workers > 1 and cfg.n_replications > 1:
         with process_pool(min(n_workers, cfg.n_replications)) as own:
             return simulate_case(p, cfg, pool=own)
-    geom = build_geometry(p)
-    sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
     seqs = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
             for r in range(cfg.n_replications)]
-    if pool is None:
-        all_hits = [_replication_hits(geom, cfg, sigma, s) for s in seqs]
-    else:
-        all_hits = list(pool.map(_replication_hits, repeat(geom), repeat(cfg),
-                                 repeat(sigma), seqs))
-    total = np.sum(all_hits, axis=0, dtype=np.int64)
+    all_hits = (map if pool is None else pool.map)(_replication_hits, repeat(p),
+                                                   repeat(cfg), seqs)
+    total = np.sum(list(all_hits), axis=0, dtype=np.int64)
     fraction = np.cumsum(total) / float(cfg.n_emitted)
     return ReceivedSignal(cfg.grid, fraction).validate()
 

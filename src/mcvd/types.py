@@ -134,11 +134,14 @@ class ModelParams:
 class TimeGrid:
     """Uniform output binning: n_bins bins of width dt covering (0, t_end].
 
-    t_end must be an integer multiple of dt (to a relative 1e-9).
+    t_end must be an integer multiple of dt (to a relative 1e-9). The bins
+    depend only on dt and n_bins, so two grids compare equal when those do,
+    even where t_end differs in its last bits (a grid read back from its bin
+    ends has t_end = n_bins * dt).
     """
 
     dt: float
-    t_end: float
+    t_end: float = field(compare=False)
     n_bins: int = field(init=False)
 
     def __post_init__(self) -> None:

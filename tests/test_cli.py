@@ -28,31 +28,31 @@ def run_cli(*args):
 
 # Stand-ins for the simulation kernel, defined at module level so that a
 # worker process can unpickle them. They misbehave for the validation case
-# BAD_CASE = (r_rx, r_tx, emission point's distance from the origin), by
-# default d=11, r_tx=8, r_rx=8, which no training case shares.
+# BAD_CASE = (d, r_tx, r_rx), by default d=11, r_tx=8, r_rx=8, which no
+# training case shares.
 _REAL_HITS = mcvd.simulate._replication_hits
 _TEST_PID = os.getpid()
-BAD_CASE = (8.0, 8.0, 19.0)
+BAD_CASE = (11.0, 8.0, 8.0)
 
 
-def _is_bad_case(geom) -> bool:
-    if (geom.rx_radius, geom.tx_radius, float(geom.emission_point[0])) != BAD_CASE:
+def _is_bad_case(p) -> bool:
+    if (p.d, p.r_tx, p.r_rx) != BAD_CASE:
         return False
     if os.getpid() == _TEST_PID:
         raise AssertionError("the kernel ran in the test process, not in a worker")
     return True
 
 
-def _hits_numeric_failure(geom, cfg, sigma, seed_seq):
-    if _is_bad_case(geom):
+def _hits_numeric_failure(p, cfg, seed_seq):
+    if _is_bad_case(p):
         raise NumericError("non-finite positions")
-    return _REAL_HITS(geom, cfg, sigma, seed_seq)
+    return _REAL_HITS(p, cfg, seed_seq)
 
 
-def _hits_worker_dies(geom, cfg, sigma, seed_seq):
-    if _is_bad_case(geom):
+def _hits_worker_dies(p, cfg, seed_seq):
+    if _is_bad_case(p):
         os._exit(1)
-    return _REAL_HITS(geom, cfg, sigma, seed_seq)
+    return _REAL_HITS(p, cfg, seed_seq)
 
 
 PIPELINE_RUN = ("--seed", "3", "--molecules", "150", "--replications", "2",
@@ -278,13 +278,14 @@ class TestPipelineFailures:
             == [("phase1:VDS", ["11", "8", "8"], True)]
         assert "non-finite positions" in manifest["failures"][0]["error"]
 
-    # the case whose worker dies as BAD_CASE and as (d, r_tx, r_rx), the
-    # number of failures expected, and whether any VDS case is left to evaluate
+    # the case whose worker dies as (d, r_tx, r_rx), in floats and as the
+    # manifest spells it, the number of failures expected, and whether any VDS
+    # case is left to evaluate
     @pytest.mark.parametrize("bad_case, case, n_failed, evaluated", [
         # the dead worker fails its case and any case another worker had in flight
         pytest.param(BAD_CASE, ["11", "8", "8"], (1, 2), True, id="d11_rtx8_rrx8"),
         # the first VDS case: the broken pool fails all 12 before any finishes
-        pytest.param((4.0, 4.0, 7.0), ["3", "4", "4"], (12, 12), False, id="d3_rtx4_rrx4"),
+        pytest.param((3.0, 4.0, 4.0), ["3", "4", "4"], (12, 12), False, id="d3_rtx4_rrx4"),
     ])
     def test_worker_death_fails_cases_exit_1(self, tmp_path, bad_case, case, n_failed,
                                              evaluated):

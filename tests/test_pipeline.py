@@ -21,6 +21,7 @@ from mcvd import (
     TimeGrid,
     ValidationError,
     predict_vds,
+    rmse,
     run_phase1,
     run_phase2,
     study_grids,
@@ -139,14 +140,17 @@ class TestSerialization:
 
     def test_signal_round_trip_is_bit_exact(self, tmp_path):
         p = SystemParams(d=3, r_tx=0, r_rx=5, diff_coeff=80)
-        sig = simulate_case(p, tiny_cfg())
-        path = tmp_path / "sig.csv"
-        write_signal_csv(sig, path)
-        back = read_signal_csv(path)
-        assert np.array_equal(back.cumulative_fraction, sig.cumulative_fraction)
-        assert back.grid == sig.grid
-        header = path.read_text().splitlines()[0]
-        assert header == "time_s,cumulative_fraction"
+        # 3 * 0.1 is 0.30000000000000004, the last time written for t_end 0.3
+        for cfg in (tiny_cfg(), replace(tiny_cfg(), grid=TimeGrid(0.1, 0.3))):
+            sig = simulate_case(p, cfg)
+            path = tmp_path / "sig.csv"
+            write_signal_csv(sig, path)
+            back = read_signal_csv(path)
+            assert np.array_equal(back.cumulative_fraction, sig.cumulative_fraction)
+            assert back.grid == sig.grid
+            assert rmse(sig, back, 1000) == 0.0
+            header = path.read_text().splitlines()[0]
+            assert header == "time_s,cumulative_fraction"
 
     def test_unevenly_spaced_signal_rows_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -182,6 +186,19 @@ class TestSerialization:
         assert np.array_equal(back.in_min, net.in_min)
         assert np.array_equal(back.out_max, net.out_max)
         assert back.kind is net.kind
+
+    def test_network_whose_kind_does_not_fit_its_outputs_refused(self, tmp_path):
+        net = Network(ModelKind.ENHANCED, w1=np.zeros((2, 4)), b1=np.zeros(2),
+                      w2=np.zeros((3, 2)), b2=np.zeros(3), in_min=np.zeros(4),
+                      in_max=np.ones(4), out_min=np.zeros(3), out_max=np.ones(3))
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        data = json.loads(path.read_text())
+        assert data["kind"] == "enhanced"
+        data["kind"] = "primitive"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="inconsistent weight shapes"):
+            load_network(path)
 
 
 class TestPhase1:

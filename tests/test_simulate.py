@@ -10,14 +10,13 @@ from mcvd import (
     SystemParams,
     TimeGrid,
     ValidationError,
-    build_geometry,
     point_hit_fraction,
     simulate_case,
 )
 
 from mcvd.simulate import SIM_VERSION
 
-from stepper_oracle import step_molecule
+from stepper_oracle import placement, step_molecule
 
 
 def small_cfg(seed=0, **kw):
@@ -46,65 +45,66 @@ class RecordingPool(ThreadPoolExecutor):
 
 class TestGeometry:
     def test_spherical_transmitter_placement(self):
-        p = SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0)
-        g = build_geometry(p)
-        assert np.allclose(g.emission_point, [13.0, 0.0, 0.0])
-        assert np.allclose(g.tx_center, [17.0, 0.0, 0.0])
+        release, tx_center = placement(SystemParams(d=5.0, r_tx=4.0, r_rx=8.0,
+                                                    diff_coeff=80.0))
+        assert np.allclose(release, [13.0, 0.0, 0.0])
+        assert np.allclose(tx_center, [17.0, 0.0, 0.0])
 
     def test_point_transmitter_has_no_body(self):
-        g = build_geometry(SystemParams(d=5.0, r_tx=0.0, r_rx=8.0, diff_coeff=80.0))
-        assert np.allclose(g.emission_point, [13.0, 0.0, 0.0])
-        assert g.tx_center is None
-        assert not g.has_transmitter_body
+        release, tx_center = placement(SystemParams(d=5.0, r_tx=0.0, r_rx=8.0,
+                                                    diff_coeff=80.0))
+        assert np.allclose(release, [13.0, 0.0, 0.0])
+        assert tx_center is None
 
     def test_emission_distance_to_receiver_surface(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = SystemParams(d=rng.uniform(0.5, 20), r_tx=rng.uniform(0, 10),
                              r_rx=rng.uniform(0.5, 20), diff_coeff=50.0)
-            g = build_geometry(p)
-            gap = np.linalg.norm(g.emission_point) - g.rx_radius
+            release, tx_center = placement(p)
+            gap = np.linalg.norm(release) - p.r_rx
             assert gap == pytest.approx(p.d, rel=1e-12)
             if p.r_tx > 0:
-                on_surface = np.linalg.norm(g.emission_point - g.tx_center)
+                on_surface = np.linalg.norm(release - tx_center)
                 assert on_surface == pytest.approx(p.r_tx, rel=1e-12)
 
 
 class TestStepMolecule:
     def test_zero_sigma_never_moves_or_absorbs(self):
-        g = build_geometry(SystemParams(d=2.0, r_tx=0.0, r_rx=3.0, diff_coeff=1.0))
+        p = SystemParams(d=2.0, r_tx=0.0, r_rx=3.0, diff_coeff=1.0)
         rng = np.random.default_rng(0)
-        pos = g.emission_point.copy()
+        pos, _ = placement(p)
         for _ in range(50):
-            nxt = step_molecule(pos, g, 0.0, rng)
+            nxt = step_molecule(pos, p, 0.0, rng)
             assert nxt is not None
             assert np.array_equal(nxt, pos)
             pos = nxt
 
     def test_far_molecule_survives_single_step(self):
         # 10 sigma away from the surface: absorption odds below 1e-15
-        g = build_geometry(SystemParams(d=10.0, r_tx=0.0, r_rx=1.0, diff_coeff=1.0))
+        p = SystemParams(d=10.0, r_tx=0.0, r_rx=1.0, diff_coeff=1.0)
+        release, _ = placement(p)
         sigma = 0.1
         rng = np.random.default_rng(123)
         for _ in range(2000):
-            assert step_molecule(g.emission_point, g, sigma, rng) is not None
+            assert step_molecule(release, p, sigma, rng) is not None
 
     def test_reflection_rolls_back(self):
         p = SystemParams(d=1.0, r_tx=5.0, r_rx=2.0, diff_coeff=1.0)
-        g = build_geometry(p)
+        release, tx_center = placement(p)
         rng = np.random.default_rng(11)
-        pos = g.emission_point.copy()
+        pos = release
         rollbacks = 0
         for _ in range(500):
-            nxt = step_molecule(pos, g, 0.8, rng)
+            nxt = step_molecule(pos, p, 0.8, rng)
             if nxt is None:
-                pos = g.emission_point.copy()
+                pos = release
                 continue
             if np.array_equal(nxt, pos):
                 rollbacks += 1
-            rel = nxt - g.tx_center
-            assert rel @ rel >= g.tx_radius**2 * (1 - 1e-12)
-            assert nxt @ nxt >= g.rx_radius**2 * (1 - 1e-12)
+            rel = nxt - tx_center
+            assert rel @ rel >= p.r_tx**2 * (1 - 1e-12)
+            assert nxt @ nxt >= p.r_rx**2 * (1 - 1e-12)
             pos = nxt
         assert rollbacks > 0  # with sigma this large the body is hit often
 
@@ -166,21 +166,35 @@ class TestSimulateCase:
         # the scalar oracle, so every molecule is absorbed in the same substep
         p = SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=100.0)
         cfg = small_cfg(seed=13, n_molecules=1, n_replications=40, substep_factor=2)
-        g = build_geometry(p)
         sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
         hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
         for r in range(cfg.n_replications):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
-            pos = g.emission_point
+            pos, _ = placement(p)
             for j in range(cfg.grid.n_bins * cfg.substep_factor):
-                pos = step_molecule(pos, g, sigma, rng)
+                pos = step_molecule(pos, p, sigma, rng)
                 if pos is None:
                     hits[j // cfg.substep_factor] += 1
                     break
         assert 0 < hits.sum() < cfg.n_replications
         expected = np.cumsum(hits) / float(cfg.n_emitted)
         assert np.array_equal(simulate_case(p, cfg).cumulative_fraction, expected)
+
+    @pytest.mark.parametrize("case, twin", [
+        ((4.0, 5.0, 5.0, 25.0), (8.0, 10.0, 10.0, 100.0)),
+        ((3.0, 0.0, 5.0, 30.0), (6.0, 0.0, 10.0, 120.0)),
+        ((2.5, 3.0, 4.0, 16.0), (5.0, 6.0, 8.0, 64.0)),
+    ])
+    def test_scale_twins_give_identical_bytes(self, case, twin):
+        # doubling every length and quadrupling D doubles sigma, the release
+        # point and both sphere centres exactly, so every position and every
+        # comparison scales by a power of two and the hits cannot differ
+        cfg = small_cfg(seed=42)
+        a = simulate_case(SystemParams(*case), cfg).cumulative_fraction
+        b = simulate_case(SystemParams(*twin), cfg).cumulative_fraction
+        assert 0.0 < a[-1] < 1.0
+        assert a.tobytes() == b.tobytes()
 
     def test_substep_factor_changes_motion_resolution_only(self):
         p = SystemParams(d=3.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
