@@ -304,9 +304,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACT
     except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

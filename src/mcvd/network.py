@@ -196,7 +196,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     if len(kinds) != 1:
         raise ValidationError("dataset mixes model kinds")
     kind = kinds.pop()
-    out_dim = 1 if kind is ModelKind.PRIMITIVE else 3
+    out_dim = len(default_bounds(kind))
 
     x_raw = np.array([_params_as_row(r.input) for r in dataset])
     t_raw = np.array([r.output.coefficients() for r in dataset])

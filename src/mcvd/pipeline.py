@@ -8,11 +8,12 @@ and JSON documents (networks, training reports, the manifest), whose
 `format_version` every reader checks against `FORMAT_VERSION`.
 All floats are serialized with 17 significant digits so artifacts round-trip
 bit-exactly; files are committed atomically (write temp, rename; a failed
-write deletes its temp file) which makes interrupted runs resumable: the
-signal of an already-simulated case is recognized by a content hash of its
-parameters, the configuration and the simulator version, and read instead
-of simulated again. Fits are not persisted per case; a rerun fits every case
-again, which is deterministic.
+write deletes its temp file). Phase 1 writes each case's signal as the case
+finishes in grid order, so an interrupt loses only the cases in flight and
+the stage's records; a rerun recognizes every signal on disk by a content
+hash of its parameters, the configuration and the simulator version, and
+reads it instead of simulating again. Fits are not persisted per case; a
+rerun fits every case again, which is deterministic.
 """
 from __future__ import annotations
 
@@ -392,17 +393,19 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     With ``n_workers > 1`` up to that many threads read or simulate the
     cases. The kernels run in one pool of ``min(n_workers, fresh cases)``
     worker processes, opened for this call and started before any thread,
-    so no process forks while threads run; each thread waits for its case's
-    kernel. This thread writes every file, in grid order, and fits every
-    case. A case that fails does not stop the rest of the grid: the
-    manifest's failures record it under the stage ``phase1:<label>``, once
-    per kind whose fit failed or once if its signal did, replacing the
-    stage's entries from an earlier run. A worker that dies breaks the
-    pool, so every case of the grid not yet finished fails; a rerun in the
-    same directory reads the signals on disk and simulates only those. The
-    manifest records the stage's duration and case counts. A run directory
-    holds one simulation configuration: a manifest that records another is
-    refused before anything is written.
+    so no process forks while threads run. This thread takes the cases in
+    grid order: it writes each fresh signal as soon as its case is done,
+    then fits the case. A case that fails does not stop the rest of the
+    grid: the manifest's failures record it under the stage
+    ``phase1:<label>``, once per kind whose fit failed or once if its signal
+    did, replacing the stage's entries from an earlier run. A worker that
+    dies breaks the pool, so every case not yet finished fails. An exception
+    that leaves the loop, such as an interrupt, cancels the cases not yet
+    started and writes no records or manifest. Either way a rerun in the
+    same directory reads the signals on disk and simulates only the rest.
+    The manifest records the stage's duration and case counts. A run
+    directory holds one simulation configuration: a manifest that records
+    another is refused before anything is written.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
@@ -422,6 +425,7 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     cases = grid.cases()
     paths = [signal_path(out_dir, p, cfg) for p in cases]
     fresh = [not path.exists() for path in paths]
+    simulated = resumed = 0
 
     with ExitStack() as stack:
         pool = None
@@ -429,6 +433,12 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
             pool = stack.enter_context(process_pool(min(n_workers, sum(fresh))))
             # with fork, the first task starts every worker process
             pool.submit(int).result()
+        dispatch = map
+        if n_workers > 1 and len(cases) > 1:
+            threads = ThreadPoolExecutor(max_workers=min(n_workers, len(cases)))
+            # leaving the loop early cancels the cases no thread has started
+            stack.callback(threads.shutdown, cancel_futures=True)
+            dispatch = threads.map
 
         def load_or_simulate(i: int) -> ReceivedSignal | Exception:
             try:
@@ -439,40 +449,32 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
             except Exception as exc:  # recorded below; the other cases go on
                 return exc
 
-        if n_workers > 1 and len(cases) > 1:
-            with ThreadPoolExecutor(max_workers=min(n_workers, len(cases))) as threads:
-                outcomes = list(threads.map(load_or_simulate, range(len(cases))))
-        else:
-            outcomes = list(map(load_or_simulate, range(len(cases))))
-
-    for path, is_new, outcome in zip(paths, fresh, outcomes):
-        if is_new and isinstance(outcome, ReceivedSignal):
-            write_signal_csv(outcome, path)
-
-    for p, outcome in zip(cases, outcomes):
-        errors = []
-        if not isinstance(outcome, ReceivedSignal):
-            errors.append((str(outcome), outcome))
-        else:
-            for kind, recs in records.items():
-                try:
-                    recs.append(
-                        CaseRecord(p, fit(FitProblem(p, outcome, kind)).model, grid.label))
-                except Exception as exc:
-                    errors.append((f"{kind.value} fit: {exc}", exc))
-        manifest.failures.extend({
-            "stage": stage,
-            "case": [_fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff)],
-            "error": message,
-            "numeric": isinstance(exc, NumericError),
-        } for message, exc in errors)
+        for p, path, is_new, outcome in zip(cases, paths, fresh,
+                                            dispatch(load_or_simulate, range(len(cases)))):
+            errors = []
+            if not isinstance(outcome, ReceivedSignal):
+                errors.append((str(outcome), outcome))
+            else:
+                if is_new:
+                    write_signal_csv(outcome, path)
+                simulated += is_new
+                resumed += not is_new
+                for kind, recs in records.items():
+                    try:
+                        recs.append(
+                            CaseRecord(p, fit(FitProblem(p, outcome, kind)).model, grid.label))
+                    except Exception as exc:
+                        errors.append((f"{kind.value} fit: {exc}", exc))
+            manifest.failures.extend({
+                "stage": stage,
+                "case": [_fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff)],
+                "error": message,
+                "numeric": isinstance(exc, NumericError),
+            } for message, exc in errors)
 
     for kind, recs in records.items():
         write_records_csv(recs, out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv")
-    got = [isinstance(outcome, ReceivedSignal) for outcome in outcomes]
-    manifest.add_stage(stage, time.perf_counter() - t0,
-                       simulated=sum(g and f for g, f in zip(got, fresh)),
-                       resumed=sum(g and not f for g, f in zip(got, fresh)),
+    manifest.add_stage(stage, time.perf_counter() - t0, simulated=simulated, resumed=resumed,
                        failed=len({tuple(f["case"]) for f in manifest.failures
                                    if f.get("stage") == stage}))
     manifest.save(out_dir)

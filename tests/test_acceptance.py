@@ -32,7 +32,7 @@ from mcvd import (
 )
 from mcvd.channel import erfc
 from mcvd.pipeline import ParameterGrid
-from mcvd.simulate import case_seed
+from mcvd.simulate import case_seed, process_pool
 
 from checks import gradient_check, jacobian_check, spearman
 from erfc_oracle import ERFC_TABLE
@@ -43,9 +43,10 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
 
 
-def simulate_grid_case(p: SystemParams, cfg: SimConfig):
-    """The case as ``run_phase1`` simulates it: under its content-derived seed."""
-    return simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
+def simulate_grid_case(p: SystemParams, cfg: SimConfig, pool=None):
+    """The case as ``run_phase1`` simulates it: under its content-derived seed.
+    Its replications run on ``pool`` when one is given."""
+    return simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)), pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,8 @@ def test_criterion_1_analytic_oracle_agreement():
     p = SystemParams(d=4.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
     cfg = SimConfig(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
                     seed=101, substep_factor=10)   # dt_sub = 0.1 ms
-    sig = simulate_case(p, cfg)
+    with process_pool(2) as pool:
+        sig = simulate_case(p, cfg, pool=pool)
     exact = np.array([point_hit_fraction(p, t) for t in cfg.grid.times()])
     dev = float(np.max(np.abs(sig.cumulative_fraction - exact)))
     ok = dev <= 0.015
@@ -72,10 +74,11 @@ def test_criterion_2_spherical_transmitter_uplift():
     n_traj = 150_000
     cfg_kw = dict(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
                   substep_factor=1)
-    sph = simulate_case(SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0),
-                        SimConfig(seed=202, **cfg_kw))
-    pnt = simulate_case(SystemParams(d=5.0, r_tx=0.0, r_rx=8.0, diff_coeff=80.0),
-                        SimConfig(seed=203, **cfg_kw))
+    with process_pool(2) as pool:
+        sph = simulate_case(SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0),
+                            SimConfig(seed=202, **cfg_kw), pool=pool)
+        pnt = simulate_case(SystemParams(d=5.0, r_tx=0.0, r_rx=8.0, diff_coeff=80.0),
+                            SimConfig(seed=203, **cfg_kw), pool=pool)
     f_sph, f_pnt = sph.final_fraction, pnt.final_fraction
     se = np.sqrt(f_sph * (1 - f_sph) / n_traj + f_pnt * (1 - f_pnt) / n_traj)
     z = (f_sph - f_pnt) / se
@@ -132,7 +135,8 @@ def test_criterion_4_model_ordering():
     cases = [SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=75.0)
              for d in (4.0, 8.0) for rtx in (5.0, 10.0) for rrx in (5.0, 10.0)]
     cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=404)
-    sims = [simulate_grid_case(p, cfg) for p in cases]
+    with process_pool(2) as pool:
+        sims = [simulate_grid_case(p, cfg, pool) for p in cases]
     wins = 0
     for p, sig in zip(cases, sims):
         r_enh = rmse(sig, sample_model(
@@ -155,7 +159,8 @@ FIT_SEED = 708   # the realization the curve-fit baseline is fitted to
 @pytest.fixture(scope="module")
 def generalization_run(tmp_path_factory):
     """Phase 1 on 108 training cases, phase 2, then 12 interior validation
-    cases with per-case fit and prediction RMSE.
+    cases with per-case fit and prediction RMSE. Every simulation runs on 2
+    worker processes, which gives the same bytes as one.
 
     Both RMSEs are taken against the seed-707 signal of each case. The
     network's prediction comes from the physical parameters alone; the
@@ -174,18 +179,19 @@ def generalization_run(tmp_path_factory):
     vds_grid = ParameterGrid((3.0, 5.0, 7.0), (6.0, 8.0), (70.0,), (6.0, 8.0),
                              Provenance.VDS)
     tds_cfg = SimConfig(n_molecules=3000, n_replications=10, grid=grid, seed=505)
-    records = run_phase1(tds_grid, tds_cfg, [ModelKind.ENHANCED], out)
+    records = run_phase1(tds_grid, tds_cfg, [ModelKind.ENHANCED], out, n_workers=2)
     net, _report = train(records, hidden=16, seed=0)
     vds_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=707)
     fit_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=FIT_SEED)
     rows = []
-    for p in vds_grid.cases():
-        sig = simulate_grid_case(p, vds_cfg)
-        fit_sig = simulate_grid_case(p, fit_cfg)
-        b_fit = fit(FitProblem(p, fit_sig, ModelKind.ENHANCED)).model
-        r_fit = rmse(sig, sample_model(p, b_fit, grid), 3000)
-        r_ann = rmse(sig, sample_model(p, forward(net, p), grid), 3000)
-        rows.append((p, sig, r_fit, r_ann))
+    with process_pool(2) as pool:
+        for p in vds_grid.cases():
+            sig = simulate_grid_case(p, vds_cfg, pool)
+            fit_sig = simulate_grid_case(p, fit_cfg, pool)
+            b_fit = fit(FitProblem(p, fit_sig, ModelKind.ENHANCED)).model
+            r_fit = rmse(sig, sample_model(p, b_fit, grid), 3000)
+            r_ann = rmse(sig, sample_model(p, forward(net, p), grid), 3000)
+            rows.append((p, sig, r_fit, r_ann))
     return rows
 
 

@@ -35,6 +35,7 @@ from mcvd.pipeline import (
     read_signal_csv,
     reduced_grids,
     save_network,
+    signal_path,
     write_records_csv,
     write_signal_csv,
 )
@@ -412,6 +413,41 @@ class TestPhase1:
                                  n_workers=2)
         assert len(records) == 2
         assert threads_at_fork == [before, before]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_interrupted_grid_keeps_the_signals_written(self, tmp_path, monkeypatch,
+                                                        n_workers):
+        import mcvd.pipeline
+        from mcvd.pipeline import ParameterGrid
+        grid = ParameterGrid((2.0, 3.0, 4.0, 5.0), (0.0,), (100.0,), (5.0,), Provenance.TDS)
+        cfg = tiny_cfg(seed=5)
+        kinds = [ModelKind.PRIMITIVE, ModelKind.ENHANCED]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        run_phase1(grid, cfg, kinds, whole, n_workers=n_workers)
+        real = mcvd.pipeline.simulate_case
+        third = grid.cases()[2]
+
+        def interrupted_at_third(p, case_cfg, **kwargs):
+            if p == third:
+                raise KeyboardInterrupt
+            return real(p, case_cfg, **kwargs)
+
+        monkeypatch.setattr(mcvd.pipeline, "simulate_case", interrupted_at_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_phase1(grid, cfg, kinds, cut, n_workers=n_workers)
+        # the cases before the interrupted one are on disk, and nothing else
+        kept = [signal_path(cut, p, cfg) for p in grid.cases()[:2]]
+        assert sorted(cut.rglob("*")) == sorted([cut / "signals", *kept])
+        for path in kept:
+            assert path.read_bytes() == (whole / path.relative_to(cut)).read_bytes()
+
+        monkeypatch.undo()
+        run_phase1(grid, cfg, kinds, cut, n_workers=n_workers)
+        stage = RunManifest.load(cut).stages[-1]
+        assert (stage["resumed"], stage["simulated"], stage["failed"]) == (2, 2, 0)
+        for kind in kinds:
+            name = f"records_tds_{kind.value}.csv"
+            assert (cut / name).read_bytes() == (whole / name).read_bytes()
 
     def test_stage_reports_duration_and_case_counts(self, tmp_path):
         grid = tiny_grid()
