@@ -1,9 +1,18 @@
 """Feedforward network mapping system parameters to channel-model
 coefficients, trained by Levenberg-Marquardt under Bayesian regularization.
 
-Architecture: 4 inputs -> H tanh units -> linear outputs (1 coefficient for
-the primitive model, 3 for the enhanced). Inputs and targets are scaled to
-[-1, 1] by training-set min/max. The training objective is
+Architecture: inputs -> H tanh units -> linear outputs. The primitive
+network maps the four parameters (d, r_tx, r_rx, D) to b1. The enhanced
+network works in the diffusion equation's similarity coordinates: the hit
+fraction depends on D and t only through Dt and on lengths only through their
+ratios, so its inputs are (d/r_rx, r_tx/r_rx, D/r_rx^2) and its targets
+(b1, k, b3), where
+
+    k = r_rx^(1 - 2 b3) * D^b3 / (4D)^b2
+
+is the scale of the same curve written as erfc(k (d/r_rx) / (Dt/r_rx^2)^b3).
+``forward`` converts k back to b2. Inputs and targets are scaled to [-1, 1]
+by training-set min/max. The training objective is
 
     F = beta * E_D + alpha * E_W,    E_D = sum of squared normalized errors,
                                      E_W = 0.5 * sum of squared weights,
@@ -16,11 +25,13 @@ objective Hessian at the settled weights.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import POINT_EXPONENTS
 from .fitting import default_bounds
 from .types import ModelKind, ModelParams, Provenance, SystemParams, ValidationError
 
@@ -34,7 +45,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-N_INPUTS = 4
+N_INPUTS = {ModelKind.PRIMITIVE: 4, ModelKind.ENHANCED: 3}
 DEFAULT_HIDDEN = 10
 MAX_EPOCHS = 300
 OBJECTIVE_REL_TOL = 1e-9
@@ -73,7 +84,7 @@ class Network:
     """Weights plus the normalization metadata needed to apply them."""
 
     kind: ModelKind
-    w1: np.ndarray            # (hidden, 4)
+    w1: np.ndarray            # (hidden, inputs)
     b1: np.ndarray            # (hidden,)
     w2: np.ndarray            # (out, hidden)
     b2: np.ndarray            # (out,)
@@ -92,21 +103,25 @@ class Network:
         return self.w1.shape[0]
 
     @property
+    def n_inputs(self) -> int:
+        return self.w1.shape[1]
+
+    @property
     def out_dim(self) -> int:
         return self.w2.shape[0]
 
     @property
     def n_weights(self) -> int:
         h, o = self.hidden, self.out_dim
-        return h * (N_INPUTS + 1) + o * (h + 1)
+        return h * (self.n_inputs + 1) + o * (h + 1)
 
     def flat_weights(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
 
     def set_flat_weights(self, w: np.ndarray) -> None:
-        h, o = self.hidden, self.out_dim
+        h, o, n_in = self.hidden, self.out_dim, self.n_inputs
         i = 0
-        self.w1 = w[i:i + h * N_INPUTS].reshape(h, N_INPUTS).copy(); i += h * N_INPUTS
+        self.w1 = w[i:i + h * n_in].reshape(h, n_in).copy(); i += h * n_in
         self.b1 = w[i:i + h].copy(); i += h
         self.w2 = w[i:i + o * h].reshape(o, h).copy(); i += o * h
         self.b2 = w[i:i + o].copy()
@@ -121,8 +136,34 @@ class Network:
         return 2.0 * (raw - self.out_min) / (self.out_max - self.out_min) - 1.0
 
 
-def _params_as_row(p: SystemParams) -> np.ndarray:
-    return np.array([p.d, p.r_tx, p.r_rx, p.diff_coeff])
+def _params_as_row(p: SystemParams, kind: ModelKind) -> np.ndarray:
+    """The network inputs of a case: its parameters for the primitive kind,
+    its similarity coordinates for the enhanced kind."""
+    if kind is ModelKind.PRIMITIVE:
+        return np.array([p.d, p.r_tx, p.r_rx, p.diff_coeff])
+    return np.array([p.d / p.r_rx, p.r_tx / p.r_rx, p.diff_coeff / (p.r_rx * p.r_rx)])
+
+
+def _targets(r: CaseRecord) -> np.ndarray:
+    """The training targets of a record: b1, or (b1, k, b3)."""
+    m, p = r.output, r.input
+    if m.kind is ModelKind.PRIMITIVE:
+        return np.array([m.b1])
+    k = p.r_rx ** (1.0 - 2.0 * m.b3) * p.diff_coeff ** m.b3 / (4.0 * p.diff_coeff) ** m.b2
+    return np.array([m.b1, k, m.b3])
+
+
+def _b2_from_k(p: SystemParams, k: float, b3: float) -> float:
+    """The b2 at which the enhanced curve of case ``p`` has scale k:
+    ln(r_rx^(1 - 2 b3) D^b3 / k) / ln(4D). A k at or below 0 is taken as its
+    limit 0+, which gives an infinite b2 for the clamp to bound. Where 4D = 1
+    the curve does not depend on b2, which is then the point exponent."""
+    log_4d = math.log(4.0 * p.diff_coeff)
+    if log_4d == 0.0:
+        return POINT_EXPONENTS[0]
+    log_k = math.log(k) if k > 0.0 else -math.inf
+    return ((1.0 - 2.0 * b3) * math.log(p.r_rx) + b3 * math.log(p.diff_coeff)
+            - log_k) / log_4d
 
 
 def _forward_scaled(net: Network, x_scaled: np.ndarray) -> np.ndarray:
@@ -137,14 +178,14 @@ def _output_jacobian(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     Same backward pass the trainer uses for its Gauss-Newton matrices.
     """
     n = x_scaled.shape[0]
-    h, o = net.hidden, net.out_dim
+    h, o, n_in = net.hidden, net.out_dim, net.n_inputs
     hid = np.tanh(x_scaled @ net.w1.T + net.b1)          # (n, h)
     gate = 1.0 - hid**2                                   # (n, h)
     k = net.n_weights
     jac = np.zeros((n * o, k))
     d_w1 = (net.w2[None, :, :] * gate[:, None, :])[:, :, :, None] * x_scaled[:, None, None, :]
-    jac[:, :h * N_INPUTS] = d_w1.reshape(n * o, h * N_INPUTS)
-    ofs = h * N_INPUTS
+    jac[:, :h * n_in] = d_w1.reshape(n * o, h * n_in)
+    ofs = h * n_in
     jac[:, ofs:ofs + h] = (net.w2[None, :, :] * gate[:, None, :]).reshape(n * o, h)
     ofs += h
     d_w2 = np.zeros((n, o, o, h))
@@ -171,7 +212,8 @@ def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _init_network(kind: ModelKind, hidden: int, out_dim: int, seed: int,
                   in_min, in_max, out_min, out_max) -> Network:
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(seed)))
-    w1 = rng.uniform(-1.0, 1.0, (hidden, N_INPUTS)) / np.sqrt(N_INPUTS)
+    n_in = N_INPUTS[kind]
+    w1 = rng.uniform(-1.0, 1.0, (hidden, n_in)) / np.sqrt(n_in)
     w2 = rng.uniform(-1.0, 1.0, (out_dim, hidden)) / np.sqrt(hidden)
     return Network(kind, w1, np.zeros(hidden), w2, np.zeros(out_dim),
                    np.asarray(in_min, float), np.asarray(in_max, float),
@@ -198,8 +240,8 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     kind = kinds.pop()
     out_dim = len(default_bounds(kind))
 
-    x_raw = np.array([_params_as_row(r.input) for r in dataset])
-    t_raw = np.array([r.output.coefficients() for r in dataset])
+    x_raw = np.array([_params_as_row(r.input, kind) for r in dataset])
+    t_raw = np.array([_targets(r) for r in dataset])
     degenerate = bool(np.any(t_raw.max(axis=0) - t_raw.min(axis=0) <= 0))
     if degenerate:
         warnings.warn("constant target column(s): fit is degenerate in those outputs",
@@ -291,17 +333,20 @@ _CLAMP = {kind: np.array(default_bounds(kind)).T for kind in ModelKind}
 
 
 def forward(net: Network, p: SystemParams) -> ModelParams:
-    """Predict model coefficients for one case, clamped to the fitter bounds.
+    """Predict model coefficients for one case, clamped to the fitter bounds
+    after the enhanced kind's k is converted back to b2.
 
     Inputs outside the training normalization range are allowed and logged:
     the standard validation grid probes radii below the training radii, so
     extrapolation is an expected use, not an error.
     """
-    raw = _params_as_row(p)
+    raw = _params_as_row(p, net.kind)
     if logger.isEnabledFor(logging.INFO) and \
             (np.any(raw < net.in_min) or np.any(raw > net.in_max)):
         logger.info("forward: input %s extrapolates beyond the training range", p)
     scaled = net.normalize_inputs(raw[None, :])
     out = net.denormalize_outputs(_forward_scaled(net, scaled)[0])
+    if net.kind is ModelKind.ENHANCED:
+        out[1] = _b2_from_k(p, out[1], out[2])
     lo, hi = _CLAMP[net.kind]
     return ModelParams(net.kind, *np.clip(out, lo, hi).tolist())

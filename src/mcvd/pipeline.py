@@ -5,7 +5,9 @@ Every run lives in its own directory under a single manifest. One writer and
 one reader here serve every artifact: CSV tables (signals and export series
 `time_s,<column>`, case records `d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3`)
 and JSON documents (networks, training reports, the manifest), whose
-`format_version` every reader checks against `FORMAT_VERSION`.
+`format_version` every reader checks: `NETWORK_FORMAT_VERSION` for networks,
+whose enhanced kind learns in similarity coordinates since version 2, and
+`FORMAT_VERSION` for the rest.
 All floats are serialized with 17 significant digits so artifacts round-trip
 bit-exactly; files are committed atomically (write temp, rename; a failed
 write deletes its temp file). Phase 1 writes each case's signal as the case
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+NETWORK_FORMAT_VERSION = 2
 
 TDS_DISTANCES = (2.0, 4.0, 6.0, 8.0, 10.0)
 VDS_DISTANCES = (3.0, 5.0, 7.0, 9.0, 11.0)
@@ -165,24 +168,24 @@ def _write_series(path: Path, column: str, times: np.ndarray, values: np.ndarray
     _write_csv(path, f"time_s,{column}", ((_fmt(t), _fmt(v)) for t, v in zip(times, values)))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, version: int, payload: dict) -> None:
     """A JSON artifact: ``format_version`` first, then ``payload``'s keys."""
-    _atomic_write(Path(path), json.dumps({"format_version": FORMAT_VERSION, **payload},
+    _atomic_write(Path(path), json.dumps({"format_version": version, **payload},
                                          indent=1) + "\n")
 
 
-def _read_json(path: Path) -> dict:
-    """A JSON artifact's object; any ``format_version`` but this one's is refused."""
+def _read_json(path: Path, version: int) -> dict:
+    """A JSON artifact's object; any ``format_version`` but ``version`` is refused."""
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} does not hold a JSON object")
-    version = data.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:  # also refuses true and 1.0
-        raise ValidationError(f"unsupported format_version {version!r} in {path}; "
-                              f"this version reads {FORMAT_VERSION}")
+    found = data.get("format_version")
+    if type(found) is not int or found != version:  # also refuses true and 1.0
+        raise ValidationError(f"unsupported format_version {found!r} in {path}; "
+                              f"this version reads {version}")
     return data
 
 
@@ -237,7 +240,7 @@ def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
 
 
 def save_network(net: Network, path: Path) -> None:
-    _write_json(path, {
+    _write_json(path, NETWORK_FORMAT_VERSION, {
         "kind": net.kind.value,
         "hidden": net.hidden,
         "out_dim": net.out_dim,
@@ -254,7 +257,7 @@ def save_network(net: Network, path: Path) -> None:
 
 def load_network(path: Path) -> Network:
     path = Path(path)
-    data = _read_json(path)
+    data = _read_json(path, NETWORK_FORMAT_VERSION)
     as_arr = lambda rows: np.array([[float(v) for v in row] for row in rows])
     as_vec = lambda row: np.array([float(v) for v in row])
     try:
@@ -267,11 +270,11 @@ def load_network(path: Path) -> Network:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network in {path}: {exc!r}") from exc
-    # the kind fixes the output size; weights of another size are refused
-    h, o = net.hidden, len(default_bounds(net.kind))
+    # the kind fixes the input and output sizes; weights of others are refused
+    h, o, i = net.hidden, len(default_bounds(net.kind)), N_INPUTS[net.kind]
     shapes = [a.shape for a in (net.w1, net.b1, net.w2, net.b2,
                                 net.in_min, net.in_max, net.out_min, net.out_max)]
-    if shapes != [(h, N_INPUTS), (h,), (o, h), (o,), (N_INPUTS,), (N_INPUTS,), (o,), (o,)]:
+    if shapes != [(h, i), (h,), (o, h), (o,), (i,), (i,), (o,), (o,)]:
         raise ValidationError(f"inconsistent weight shapes in network {path}")
     return net
 
@@ -326,7 +329,7 @@ class RunManifest:
         ``out_dir`` as of this save: relative POSIX paths, sorted."""
         files = [(Path(root) / name).relative_to(out_dir).as_posix()
                  for root, _dirs, names in os.walk(out_dir) for name in names]
-        _write_json(self.path_in(out_dir), {
+        _write_json(self.path_in(out_dir), FORMAT_VERSION, {
             "sim_config": self.sim_config,
             "stages": self.stages,
             "artifacts": sorted(f for f in files if f != "manifest.json"),
@@ -336,7 +339,7 @@ class RunManifest:
     @staticmethod
     def load(out_dir: Path) -> "RunManifest":
         path = RunManifest.path_in(out_dir)
-        data = _read_json(path)
+        data = _read_json(path, FORMAT_VERSION)
         fields = {"sim_config": dict, "stages": list, "failures": list}
         for name, kind in fields.items():
             if not isinstance(data.get(name), kind):
@@ -492,7 +495,7 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     out_dir.mkdir(parents=True, exist_ok=True)
     net, report = train(tds, hidden=hidden, seed=seed)
     save_network(net, out_dir / f"network_{net.kind.value}.json")
-    _write_json(out_dir / f"train_report_{net.kind.value}.json", {
+    _write_json(out_dir / f"train_report_{net.kind.value}.json", FORMAT_VERSION, {
         "epochs": report.epochs,
         "e_d": _fmt(report.e_d), "e_w": _fmt(report.e_w),
         "alpha": _fmt(report.alpha), "beta": _fmt(report.beta),

@@ -1,15 +1,38 @@
-"""Particle-based Monte Carlo simulation of 3D diffusion with a perfectly
+"""Event-driven Monte Carlo simulation of 3D diffusion with a perfectly
 absorbing receiver sphere and an optional reflecting transmitter sphere.
 
 Placement: a case is its ``SystemParams`` (d, r_tx, r_rx, D), and the kernel
 places it itself. The receiver sits at the origin; molecules are released at
 (r_rx + d, 0, 0). A spherical transmitter of radius r_tx > 0 is centered at
 (r_rx + d + r_tx, 0, 0), so the release point lies on its surface facing the
-receiver and the spheres cannot overlap. Each substep moves every coordinate
-by a normal draw times sigma = sqrt(2 D dt_sub).
+receiver and the spheres cannot overlap.
+
+Events: every molecule has its own clock, counted in substeps of
+dt_sub = dt / substep_factor, and moves by one event at a time. With
+sigma = sqrt(2 D dt_sub) and rho the molecule's distance to the nearer
+surface:
+- Far (rho > NEAR_SIGMAS * sigma): the molecule cannot touch either sphere
+  before it leaves the ball of radius rho about itself, so it jumps to a
+  uniform point on that ball's surface, and its clock advances by an exact
+  first-exit time tau (walk on spheres, Muller 1956; GFRD, van Zon & ten Wolde
+  2005). P(tau <= t) = 1 + 2 sum_n (-1)^n exp(-n^2 pi^2 D t / rho^2) is
+  tabulated once, in dimensionless time D tau / rho^2, and sampled by
+  inverting the table.
+- Near: the molecule takes a Gaussian step to the next point of the substep
+  grid (a full substep once its clock is on the grid), so no step crosses a
+  bin end. It is absorbed when the step ends inside the receiver, or, ending
+  outside, with the Brownian-bridge probability
+  exp(-(r0 - R)(r1 - R) / (D dt_step)) that the path between crossed the
+  surface (Andrews & Bray, Phys. Biol. 2004). A surviving step that ends
+  inside the transmitter is rejected, and the molecule stays where it was;
+  so is a jump that rounding lands inside it.
+A hit is counted in the bin of the step that made it. A molecule whose clock
+reaches t_end is dropped. Every jump length, exit time and bridge exponent is
+a ratio of squared lengths to D dt_sub, so doubling every length and
+quadrupling D gives the same bytes.
 
 Determinism contract: every (case, replication) pair draws from its own
-explicitly seeded PCG64 stream. The mixing function is
+explicitly seeded streams. The mixing function is
 ``SeedSequence(entropy=seed, spawn_key=(replication_index,))`` inside a case
 and ``SeedSequence(entropy=seed, spawn_key=(0x5EED, case_hash))`` across a
 grid, where case_hash is derived from the case's physical parameters (not
@@ -17,8 +40,8 @@ its position), so results are bitwise reproducible for any worker count and
 any input ordering.
 
 Parallelism: kernels that run at the same time run in worker processes, never
-on threads. A step makes about a dozen numpy calls on arrays of a few
-thousand elements, and each call releases and retakes the GIL, so threads
+on threads. A round of events makes a few dozen numpy calls on arrays of a
+few thousand elements, and each call releases and retakes the GIL, so threads
 running kernels side by side mostly wait for one another. ``simulate_case``
 sends its replications to a process pool (its caller's, or one of its own
 when ``n_workers > 1``); with one worker and no pool they run in the calling
@@ -29,14 +52,19 @@ counts; nothing else crosses the process boundary. Integer sums do not
 depend on which process ran which replication, so the signal bytes do not
 depend on the worker count.
 
-Draw-order rule: a replication consumes its stream's standard normals in
-order, three per molecule in flight per substep (x, y, z of each molecule,
-molecules in array order). The kernel draws them in chunks that do not line
-up with substeps; that leaves every value unchanged, because the Generator's
-ziggurat keeps no state between calls, so n draws followed by m draws give
-the same values as one draw of n + m. Any change to this order, or to the
-floating-point operations applied to the draws, changes the signal bytes and
-must bump SIM_VERSION.
+Draw-order rule: a replication has two streams, PCG64 generators seeded by
+the children (0,) and (1,) of its ``SeedSequence``: standard normals from the
+first and uniforms on [0, 1) from the second, never interleaved. The kernel
+runs in rounds; in each, every molecule in flight takes one event. Each
+event consumes three normals (the step, or the direction of the jump) and
+one uniform (the bridge test, or the exit time). A round of n molecules
+takes 3n normals, the x components of all n molecules in array order, then
+the y, then the z, and n uniforms, in array order.
+The kernel draws in chunks that do not line up with rounds; that leaves
+every value unchanged, because the Generator keeps no state between calls,
+so n draws followed by m draws give the same values as one draw of n + m.
+Any change to this order, or to the floating-point operations applied to the
+draws, changes the signal bytes and must bump SIM_VERSION.
 """
 from __future__ import annotations
 
@@ -59,13 +87,84 @@ __all__ = [
 # Bumped whenever a change to the simulator changes the signal it returns for
 # the same inputs; it enters every case key, so a resumed run never reuses a
 # signal an older simulator wrote.
-SIM_VERSION = 1
+SIM_VERSION = 2
 
 _BATCH_TAG = 0x5EED
 
-# Standard normals drawn per call to the generator (at least 3 per molecule,
-# so that one chunk always covers a substep).
-_CHUNK = 1 << 16
+# Draws per call to a generator (at least three normals and one uniform per
+# molecule, so that one chunk always covers a round).
+_CHUNK = 1 << 13
+
+# A molecule farther than this many sigma from both surfaces jumps.
+NEAR_SIGMAS = 2.0
+
+# First-exit times from a ball, in dimensionless time s = D tau / rho^2, are
+# tabulated as the inverse of their distribution P at the uniforms k / 2^14.
+_EXIT_CELLS = 1 << 14
+
+
+def _exit_time_table() -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of P at the uniforms k / 2^14, and the slope to the next
+    node.
+
+    P is summed on the grid s = k / 4096 up to 1.25, where it passes
+    1 - 2^-14: below s = 1/4 in its Jacobi-transformed form
+    2 (pi s)^(-1/2) sum_k>=0 exp(-(k + 1/2)^2 / s), which converges fast
+    there and loses nothing to cancellation, and 12 terms of either form are
+    exact in doubles. The sums run term by term, so the table costs a few
+    arrays. P is inverted linearly between its grid points. In the top cell,
+    1 - P(s) = 2 exp(-pi^2 s) to 1e-13, so s is the cell's lower end plus an
+    exponential of mean 1 / pi^2; the last node is set so that the line
+    through the cell has that mean.
+    """
+    s = np.arange(1, 5121) / 4096
+    short, long = s[s < 0.25], s[s >= 0.25]
+    p_short = np.zeros_like(short)
+    p_long = np.ones_like(long)
+    for n in range(12):
+        p_short += np.exp(-(n + 0.5) ** 2 / short)
+        p_long += 2.0 * (-1.0) ** (n + 1) * np.exp(-((n + 1) * np.pi) ** 2 * long)
+    p_short *= 2.0 / np.sqrt(np.pi * short)
+    nodes = np.empty(_EXIT_CELLS + 1)
+    nodes[:-1] = np.interp(np.arange(_EXIT_CELLS) / _EXIT_CELLS,
+                           np.concatenate(([0.0], p_short, p_long)),
+                           np.concatenate(([0.0], s)))
+    nodes[-1] = nodes[-2] + 2.0 / np.pi ** 2
+    return nodes[:-1], np.diff(nodes)
+
+
+_EXIT_S, _EXIT_SLOPE = _exit_time_table()
+
+
+def _exit_times(u: np.ndarray) -> np.ndarray:
+    """Dimensionless first-exit times D tau / rho^2 at uniforms ``u``: the
+    tabulated inverse of P, linear between nodes."""
+    x = u * _EXIT_CELLS
+    k = x.astype(np.intp)
+    x -= k
+    s = _EXIT_S[k]
+    s += _EXIT_SLOPE[k] * x
+    return s
+
+
+class _Draws:
+    """One kind of draw from one stream, made in chunks and handed out in
+    order. ``fill`` is a Generator method that takes ``out=``."""
+
+    def __init__(self, fill, size: int) -> None:
+        self.fill = fill
+        self.buf = np.empty(size)
+        self.used = size
+
+    def take(self, n: int) -> np.ndarray:
+        if self.used + n > self.buf.size:
+            # keep the unread tail, then draw the rest of the chunk after it
+            left = self.buf.size - self.used
+            self.buf[:left] = self.buf[self.used:]
+            self.fill(out=self.buf[left:])
+            self.used = 0
+        self.used += n
+        return self.buf[self.used - n:self.used]
 
 
 @dataclass(frozen=True)
@@ -101,71 +200,79 @@ class SimConfig:
 
 def _replication_hits(p: SystemParams, cfg: SimConfig,
                       seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """First-hit counts per output bin for one replication of case ``p``
-    (vectorized), placed as the module docstring states.
+    """First-hit counts per output bin for one replication of case ``p``,
+    placed, moved and drawn as the module docstring states.
 
-    Every step works in buffers allocated here once: the scaled normals of a
-    chunk, the positions and the candidate moves (two (n, 3) buffers whose
-    roles swap), the squared coordinates and the squared distances. Only the
-    first n rows are live, n being the molecules still in flight.
+    A round works on all molecules in flight at once: positions are a (3, n)
+    array and clocks an (n,) array. Every molecule's step and jump are both
+    computed, and each molecule keeps the one its distance calls for; that
+    costs fewer numpy calls per round than gathering the two groups apart,
+    and the rounds late in a replication, with few molecules left, are
+    nothing but calls.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
+    normal_rng, uniform_rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i)))) for i in (0, 1))
     n = cfg.n_molecules
-    hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
-    steps = np.empty(max(_CHUNK, 3 * n))
-    used = steps.size
-    pos = np.tile((p.r_rx + p.d, 0.0, 0.0), (n, 1))
-    cand = np.empty_like(pos)
-    sq = np.empty_like(pos)
-    d2rx = np.empty(n)
-    outside_rx = np.empty(n, dtype=bool)
-    rx_r2 = p.r_rx * p.r_rx
+    normals = _Draws(normal_rng.standard_normal, max(_CHUNK, 3 * n))
+    uniforms = _Draws(uniform_rng.random, max(_CHUNK, n))
+    d_dt = p.diff_coeff * cfg.dt_sub
+    near = NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt))
+    n_steps = cfg.grid.n_bins * cfg.substep_factor
     has_tx = p.r_tx > 0.0
-    if has_tx:
-        tx_x = p.r_rx + p.d + p.r_tx
-        tx_r2 = p.r_tx * p.r_tx
-        d2tx = np.empty(n)
-        inside_tx = np.empty(n, dtype=bool)
-    for j in range(cfg.grid.n_bins * cfg.substep_factor):
-        need = 3 * n
-        if used + need > steps.size:
-            # keep the unread tail, then draw the rest of the chunk after it
-            left = steps.size - used
-            steps[:left] = steps[used:]
-            rng.standard_normal(out=steps[left:])
-            steps[left:] *= sigma
-            used = 0
-        x, c, s = pos[:n], cand[:n], sq[:n]
-        np.add(x, steps[used:used + need].reshape(n, 3), out=c)
-        used += need
-        np.square(c, out=s)
-        r2 = d2rx[:n]
-        np.add(s[:, 0], s[:, 1], out=r2)
-        r2 += s[:, 2]
-        keep = outside_rx[:n]
-        np.greater(r2, rx_r2, out=keep)
-        if has_tx:
-            # a move into the transmitter is rejected; reverting an absorbed
-            # molecule too is harmless, since it is dropped below
-            t2 = d2tx[:n]
-            np.subtract(c[:, 0], tx_x, out=t2)
-            np.square(t2, out=t2)
-            t2 += s[:, 1]
-            t2 += s[:, 2]
-            back = np.less_equal(t2, tx_r2, out=inside_tx[:n]).nonzero()[0]
-            if back.size:
-                c[back] = x[back]
-        n_left = int(np.count_nonzero(keep))
-        if n_left == n:
-            pos, cand = cand, pos
-            continue
-        hits[j // cfg.substep_factor] += n - n_left
-        c.compress(keep, axis=0, out=pos[:n_left])
-        n = n_left
-        if n == 0:
-            break
-    return hits
+    tx_x = p.r_rx + p.d + p.r_tx
+    tx_r2 = p.r_tx * p.r_tx
+    pos = np.zeros((3, n))
+    pos[0] = p.r_rx + p.d
+    clock = np.zeros(n)
+    hit_ends = []
+    # a uniform of exactly 0 has log -inf, which passes the bridge test
+    with np.errstate(divide="ignore"):
+        while n:
+            g = normals.take(3 * n).reshape(3, n)
+            u = uniforms.take(n)
+            yz = pos[1] * pos[1]
+            yz += pos[2] * pos[2]
+            gap = np.sqrt(pos[0] * pos[0] + yz) - p.r_rx
+            rho = gap
+            if has_tx:
+                dx = pos[0] - tx_x
+                rho = np.minimum(gap, np.sqrt(dx * dx + yz) - p.r_tx)
+            far = rho > near
+            # both moves are pos + g * scale: a far molecule's g, normalized,
+            # points to its jump target on the ball of radius rho; a near
+            # molecule steps to the next point of the substep grid, var being
+            # D times the step's duration
+            t1 = np.floor(clock) + 1.0
+            var = d_dt * (t1 - clock)
+            gg = g[0] * g[0]
+            gg += g[1] * g[1]
+            gg += g[2] * g[2]
+            x1 = g * np.where(far, rho / np.sqrt(gg), np.sqrt(2.0 * var))
+            x1 += pos
+            # a near step is absorbed by the bridge test u < exp(-gap gap1 / var),
+            # taken as log(u) < -gap gap1 / var, which a step ending inside the
+            # receiver passes (its right side is >= 0)
+            yz = x1[1] * x1[1]
+            yz += x1[2] * x1[2]
+            gap1 = np.sqrt(x1[0] * x1[0] + yz) - p.r_rx
+            absorbed = np.log(u) < -(gap * gap1) / var
+            absorbed &= ~far
+            if has_tx:
+                dx = x1[0] - tx_x
+                x1 = np.where(dx * dx + yz <= tx_r2, pos, x1)
+            pos = x1
+            clock = np.where(far, clock + _exit_times(u) * (rho * rho / d_dt), t1)
+            hit_ends.append(t1.compress(absorbed))
+            done = absorbed | (clock >= n_steps)
+            if np.count_nonzero(done):
+                keep = np.flatnonzero(~done)
+                pos = pos.take(keep, axis=1)
+                clock = clock.take(keep)
+                n = clock.size
+    # a hit in the step ending at grid point t1 falls in bin (t1 - 1) // substep_factor
+    ends = np.concatenate(hit_ends).astype(np.int64)
+    return np.bincount((ends - 1) // cfg.substep_factor,
+                       minlength=cfg.grid.n_bins).astype(np.int64)
 
 
 def process_pool(n_workers: int):

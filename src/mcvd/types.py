@@ -137,7 +137,9 @@ class TimeGrid:
     t_end must be an integer multiple of dt (to a relative 1e-9). The bins
     depend only on dt and n_bins, so two grids compare equal when those do,
     even where t_end differs in its last bits (a grid read back from its bin
-    ends has t_end = n_bins * dt).
+    ends has t_end = n_bins * dt). The bin ends are computed on the first
+    call to ``times``, as a read-only array that takes no part in equality,
+    ``repr`` or pickling.
     """
 
     dt: float
@@ -161,9 +163,17 @@ class TimeGrid:
                 f"t_end {self.t_end} is not an integer multiple of dt {self.dt}")
         object.__setattr__(self, "n_bins", n_bins)
 
+    def __reduce__(self):
+        return TimeGrid, (self.dt, self.t_end)
+
     def times(self) -> np.ndarray:
-        """Bin-end times k*dt for k = 1..n_bins."""
-        return np.arange(1, self.n_bins + 1) * self.dt
+        """Bin-end times k*dt for k = 1..n_bins (read-only)."""
+        times = self.__dict__.get("_times")
+        if times is None:
+            times = np.arange(1, self.n_bins + 1) * self.dt
+            times.flags.writeable = False
+            object.__setattr__(self, "_times", times)
+        return times
 
 
 @dataclass(eq=False)

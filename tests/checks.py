@@ -60,7 +60,8 @@ def gradient_check(net, record) -> float:
     """Masked relative deviation between the analytic Jacobian of the
     normalized network outputs w.r.t. the weights and central finite
     differences with step 1e-6, at the record's input."""
-    return gradient_check_scaled(net, net.normalize_inputs(_params_as_row(record.input)[None, :]))
+    x = _params_as_row(record.input, net.kind)
+    return gradient_check_scaled(net, net.normalize_inputs(x[None, :]))
 
 
 def gradient_check_scaled(net, x_scaled: np.ndarray) -> float:

@@ -66,6 +66,19 @@ def test_criterion_1_analytic_oracle_agreement():
     assert ok
 
 
+def test_criterion_1_bound_at_the_study_step():
+    # the same case and bound at the step the study runs, dt = 1 ms: the
+    # Brownian-bridge test removes the absorption bias of a coarse step
+    p = SystemParams(d=4.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
+    cfg = SimConfig(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
+                    seed=101, substep_factor=1)
+    with process_pool(2) as pool:
+        sig = simulate_case(p, cfg, pool=pool)
+    exact = np.array([point_hit_fraction(p, t) for t in cfg.grid.times()])
+    dev = float(np.max(np.abs(sig.cumulative_fraction - exact)))
+    assert dev <= 0.015, f"max |simulated - analytic| at substep 1 = {dev:.5f} (limit 0.015)"
+
+
 # ---------------------------------------------------------------------------
 # criterion 2: reflecting transmitter body raises the hitting probability
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,20 @@ class TestTimeGrid:
     def test_times_are_bin_ends(self):
         t = TimeGrid(0.5, 2.0).times()
         assert np.allclose(t, [0.5, 1.0, 1.5, 2.0])
+
+    def test_times_computed_once_read_only_and_not_pickled(self):
+        grid = TimeGrid(1e-3, 1.0)
+        t = grid.times()
+        assert grid.times() is t
+        assert t.tobytes() == (np.arange(1, 1001) * 1e-3).tobytes()
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        assert grid == TimeGrid(1e-3, 1.0) and hash(grid) == hash(TimeGrid(1e-3, 1.0))
+        assert repr(grid) == repr(TimeGrid(1e-3, 1.0))
+        data = pickle.dumps(grid)
+        assert len(data) < 200
+        back = pickle.loads(data)
+        assert back == grid and back.times().tobytes() == t.tobytes()
 
 
 class TestReceivedSignal:

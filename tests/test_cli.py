@@ -165,6 +165,16 @@ class TestPipelineArtifacts:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 2
 
+    def test_network_of_the_old_format_refused(self, pipeline_run, tmp_path):
+        # format 1 held an enhanced network trained on (d, r_tx, r_rx, D)
+        # against (b1, b2, b3); its weights mean something else now
+        text = (pipeline_run / "network_enhanced.json").read_text()
+        assert '"format_version": 2,' in text
+        old = tmp_path / "network_enhanced.json"
+        old.write_text(text.replace('"format_version": 2,', '"format_version": 1,', 1))
+        assert run_cli("predict", "--network", str(old), "--d", "7", "--rtx", "6",
+                       "--rrx", "6", "--D", "70") == EXIT_VALIDATION
+
     def test_export_bundle(self, pipeline_run, tmp_path):
         out = tmp_path / "bundle"
         code = run_cli("export", "--run", str(pipeline_run),

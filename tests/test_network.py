@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mcvd import (
     train,
 )
 from mcvd.fitting import default_bounds
-from mcvd.network import _forward_scaled
+from mcvd.network import N_INPUTS, _b2_from_k, _forward_scaled, _params_as_row, _targets
 
 from checks import gradient_check, gradient_check_scaled
 
@@ -23,57 +24,59 @@ from checks import gradient_check, gradient_check_scaled
 def random_network(seed=0, hidden=6, out_dim=3, sym_range=20.0):
     rng = np.random.default_rng(seed)
     kind = ModelKind.ENHANCED if out_dim == 3 else ModelKind.PRIMITIVE
+    n_in = N_INPUTS[kind]
     return Network(
         kind=kind,
-        w1=rng.uniform(-0.7, 0.7, (hidden, 4)),
+        w1=rng.uniform(-0.7, 0.7, (hidden, n_in)),
         b1=rng.uniform(-0.2, 0.2, hidden),
         w2=rng.uniform(-0.7, 0.7, (out_dim, hidden)),
         b2=rng.uniform(-0.2, 0.2, out_dim),
-        in_min=np.full(4, -sym_range), in_max=np.full(4, sym_range),
+        in_min=np.full(n_in, -sym_range), in_max=np.full(n_in, sym_range),
         out_min=np.array([0.5, 0.2, 0.2])[:out_dim],
         out_max=np.array([1.5, 0.9, 0.9])[:out_dim],
     )
 
 
-def affine_dataset(n=40, seed=42):
-    """b-coefficients that are an exact affine function of the system
-    parameters, all values inside the fitter bounds."""
+def case_at(row, kind):
+    """A case whose network inputs are exactly ``row``: for the enhanced
+    kind, r_rx = 2 and every length doubled, D quadrupled."""
+    if kind is ModelKind.PRIMITIVE:
+        return SystemParams(*row)
+    return SystemParams(d=2.0 * row[0], r_tx=2.0 * row[1], r_rx=2.0, diff_coeff=4.0 * row[2])
+
+
+def enhanced_record(p, b1, k, b3):
+    """An enhanced record whose training targets are (b1, k, b3)."""
+    return CaseRecord(p, ModelParams(ModelKind.ENHANCED, b1, _b2_from_k(p, k, b3), b3),
+                      Provenance.TDS)
+
+
+def _random_cases(n, seed):
     rng = np.random.default_rng(seed)
-    records = []
     for _ in range(n):
         d = rng.uniform(2, 10)
         rtx = rng.uniform(4, 10)
         rrx = rng.uniform(4, 10)
         dc = rng.uniform(50, 100)
-        x = np.array([(d - 6) / 4, (rtx - 7) / 3, (rrx - 7) / 3, (dc - 75) / 25])
-        b = np.array([1.0, 0.5, 0.5]) + np.array([
-            0.25 * x[0] + 0.1 * x[1] - 0.05 * x[3],
-            0.1 * x[1] - 0.15 * x[2] + 0.05 * x[0],
-            0.12 * x[3] + 0.08 * x[2],
-        ])
-        params = SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=dc)
-        records.append(CaseRecord(params, ModelParams.from_coefficients(
-            ModelKind.ENHANCED, b), Provenance.TDS))
-    return records
+        p = SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=dc)
+        # the enhanced inputs d/r_rx, r_tx/r_rx, D/r_rx^2, centred and scaled
+        x = (_params_as_row(p, ModelKind.ENHANCED) - [1.3, 1.4, 3.4]) / [1.2, 1.1, 2.9]
+        yield p, x
+
+
+def affine_dataset(n=40, seed=42):
+    """Training targets (b1, k, b3) that are an exact affine function of the
+    network's inputs, all coefficients inside the fitter bounds."""
+    return [enhanced_record(p, 1.0 + 0.25 * x[0] + 0.1 * x[1] - 0.05 * x[2],
+                            0.5 + 0.1 * x[1] - 0.1 * x[2] + 0.05 * x[0],
+                            0.5 + 0.12 * x[2] + 0.08 * x[0])
+            for p, x in _random_cases(n, seed)]
 
 
 def small_fittable_dataset(n=10, seed=11):
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n):
-        d = rng.uniform(2, 10)
-        rtx = rng.uniform(4, 10)
-        rrx = rng.uniform(4, 10)
-        dc = rng.uniform(50, 100)
-        b = np.array([
-            1.0 + 0.4 * np.tanh((d - 6) / 4),
-            0.5 + 0.2 * np.tanh((rrx - 7) / 3),
-            0.5 + 0.15 * np.tanh((dc - 75) / 25),
-        ])
-        records.append(CaseRecord(
-            SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=dc),
-            ModelParams.from_coefficients(ModelKind.ENHANCED, b), Provenance.TDS))
-    return records
+    return [enhanced_record(p, 1.0 + 0.4 * np.tanh(x[0]), 0.5 + 0.2 * np.tanh(x[2]),
+                            0.5 + 0.15 * np.tanh(x[1]))
+            for p, x in _random_cases(n, seed)]
 
 
 class TestForward:
@@ -81,7 +84,8 @@ class TestForward:
         net = random_network(out_dim=3)
         net.w1[:] = 0; net.b1[:] = 0; net.w2[:] = 0; net.b2[:] = 0
         p = SystemParams(d=4, r_tx=5, r_rx=5, diff_coeff=80)
-        got = forward(net, p).coefficients()
+        # the midrange of the targets (b1, k, b3)
+        got = _targets(CaseRecord(p, forward(net, p), Provenance.TDS))
         mid = (net.out_min + net.out_max) / 2
         assert np.allclose(got, mid, atol=1e-12)
 
@@ -140,16 +144,27 @@ class TestForwardOnTrainedNetworks:
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
         rng = np.random.default_rng(5)
-        inside = rng.uniform(net.in_min, net.in_max, (60, 4))
+        n_in = net.n_inputs
+        inside = rng.uniform(net.in_min, net.in_max, (60, n_in))
         outside = rng.uniform(net.in_min - 3 * (net.in_max - net.in_min),
-                              net.in_max + 3 * (net.in_max - net.in_min), (200, 4))
-        outside[:, [0, 2, 3]] = np.abs(outside[:, [0, 2, 3]]) + 0.1
-        outside[:, 1] = np.abs(outside[:, 1])
+                              net.in_max + 3 * (net.in_max - net.in_min), (200, n_in))
+        outside = np.abs(outside)
+        outside[:, [0, -1]] += 0.1     # d and D stay positive, r_tx may be 0
+        if net.kind is ModelKind.PRIMITIVE:
+            outside[:, 2] += 0.1
         clamped = 0
         for row in np.vstack([inside, outside]):
-            p = SystemParams(*row)
-            raw = np.array([[p.d, p.r_tx, p.r_rx, p.diff_coeff]])
+            p = case_at(row, net.kind)
+            raw = _params_as_row(p, net.kind)[None, :]
+            assert np.array_equal(raw[0], row)
             unclipped = net.denormalize_outputs(_forward_scaled(net, net.normalize_inputs(raw)))
+            if net.kind is ModelKind.ENHANCED:
+                # k back to b2: ln(r_rx^(1 - 2 b3) D^b3 / k) / ln(4D)
+                b1, k, b3 = unclipped[0]
+                log_k = math.log(k) if k > 0 else -math.inf
+                unclipped[0, 1] = ((1.0 - 2.0 * b3) * math.log(p.r_rx)
+                                   + b3 * math.log(p.diff_coeff) - log_k) \
+                    / math.log(4.0 * p.diff_coeff)
             expected = np.clip(unclipped, lo, hi)[0]
             clamped += int(np.any(expected != unclipped[0]))
             got = forward(net, p)
@@ -159,10 +174,47 @@ class TestForwardOnTrainedNetworks:
 
     def test_extrapolation_logged_when_info_enabled(self, net, caplog):
         caplog.set_level(logging.INFO, logger="mcvd.network")
-        forward(net, SystemParams(*((net.in_min + net.in_max) / 2)))
+        forward(net, case_at((net.in_min + net.in_max) / 2, net.kind))
         assert not caplog.records
-        forward(net, SystemParams(*(net.in_max + 1.0)))
+        forward(net, case_at(net.in_max + 1.0, net.kind))
         assert len(caplog.records) == 1 and "extrapolates" in caplog.records[0].message
+
+
+class TestSimilarityCoordinates:
+    def test_b2_from_k_inverts_the_target(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = SystemParams(d=rng.uniform(1, 12), r_tx=rng.uniform(0, 10),
+                             r_rx=rng.uniform(3, 11), diff_coeff=rng.uniform(40, 120))
+            b = ModelParams(ModelKind.ENHANCED, *rng.uniform([0.1, 0.05, 0.05], [5, 1.5, 1.5]))
+            b1, k, b3 = _targets(CaseRecord(p, b, Provenance.TDS))
+            assert (b1, b3) == (b.b1, b.b3)
+            assert _b2_from_k(p, k, b3) == pytest.approx(b.b2, rel=1e-12, abs=1e-12)
+
+    def test_targets_are_scale_free(self):
+        # doubling every length and quadrupling D leaves inputs and targets
+        p = SystemParams(d=3.0, r_tx=5.0, r_rx=6.0, diff_coeff=70.0)
+        twin = SystemParams(d=6.0, r_tx=10.0, r_rx=12.0, diff_coeff=280.0)
+        b = ModelParams(ModelKind.ENHANCED, 1.1, 0.5, 0.5)
+        assert np.array_equal(_params_as_row(p, ModelKind.ENHANCED),
+                              _params_as_row(twin, ModelKind.ENHANCED))
+        assert _targets(CaseRecord(p, b, Provenance.TDS)) == pytest.approx(
+            _targets(CaseRecord(twin, b, Provenance.TDS)), rel=1e-14)
+
+    def test_b2_is_the_point_exponent_where_the_curve_ignores_it(self):
+        # at 4D = 1, (4D)^b2 is 1 for every b2
+        p = SystemParams(d=3.0, r_tx=5.0, r_rx=6.0, diff_coeff=0.25)
+        assert _b2_from_k(p, 0.7, 0.6) == 0.5
+        assert forward(random_network(seed=2), p).b2 == 0.5
+
+    def test_nonpositive_k_clamps_b2_to_its_bound(self):
+        p = SystemParams(d=3.0, r_tx=5.0, r_rx=6.0, diff_coeff=70.0)
+        assert _b2_from_k(p, 0.0, 0.5) == math.inf
+        assert _b2_from_k(p, -1.0, 0.5) == math.inf
+        net = random_network(seed=1)
+        net.w1[:] = 0; net.b1[:] = 0; net.w2[:] = 0
+        net.b2[:] = [0.0, -10.0, 0.0]     # a k of out_min - 4.5 * range < 0
+        assert forward(net, p).b2 == default_bounds(ModelKind.ENHANCED)[1][1]
 
 
 class TestTrain:
@@ -199,13 +251,14 @@ class TestTrain:
         assert rep_a == rep_b
 
     def test_training_error_bounds_training_predictions(self):
+        # compared in target space (b1, k, b3), where the error is measured
         records = small_fittable_dataset()
         net, report = train(records, hidden=10, seed=4)
         half_range = (net.out_max - net.out_min) / 2
         bound = np.sqrt(report.e_d) * half_range + 1e-9
         for rec in records:
-            got = forward(net, rec.input).coefficients()
-            assert np.all(np.abs(got - rec.output.coefficients()) <= bound)
+            got = _targets(CaseRecord(rec.input, forward(net, rec.input), Provenance.TDS))
+            assert np.all(np.abs(got - _targets(rec)) <= bound)
 
     def test_too_few_records_rejected(self):
         with pytest.raises(ValidationError):
@@ -227,8 +280,7 @@ class TestTrain:
     def test_normalization_round_trip(self):
         records = small_fittable_dataset()
         net, _ = train(records, hidden=4, seed=1)
-        raw = np.array([[r.input.d, r.input.r_tx, r.input.r_rx, r.input.diff_coeff]
-                        for r in records])
+        raw = np.array([_params_as_row(r.input, net.kind) for r in records])
         back = net.in_min + (net.normalize_inputs(raw) + 1.0) * (net.in_max - net.in_min) / 2
         assert np.max(np.abs(back - raw)) <= 1e-12 * np.max(np.abs(raw))
 
@@ -267,7 +319,7 @@ class TestGradientCheck:
         rec_neg = CaseRecord(
             SystemParams(d=p.d, r_tx=p.r_tx, r_rx=p.r_rx, diff_coeff=p.diff_coeff),
             rec.output, Provenance.TDS)
-        x = np.array([p.d, p.r_tx, p.r_rx, p.diff_coeff])
+        x = _params_as_row(p, net.kind)
         scaled = net.normalize_inputs(x[None, :])
         y_orig = _forward_scaled(net, scaled)
         y_flip = _forward_scaled(flipped, -scaled)

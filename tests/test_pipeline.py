@@ -101,9 +101,9 @@ PINNED_GROUPS = [  # primitive_ann absent: its cells stay empty
 ]
 PINNED_NETWORK = Network(
     kind=ModelKind.ENHANCED,
-    w1=np.arange(8.0).reshape(2, 4) / 7, b1=np.array([0.1, -0.2]),
+    w1=np.arange(6.0).reshape(2, 3) / 7, b1=np.array([0.1, -0.2]),
     w2=np.arange(6.0).reshape(3, 2) / 3, b2=np.array([1 / 3, 2 / 3, 1.0]),
-    in_min=np.array([2.0, 5.0, 50.0, 5.0]), in_max=np.array([10.0, 10.0, 100.0, 10.0]),
+    in_min=np.array([0.2, 0.5, 0.5]), in_max=np.array([2.0, 2.0, 4.0]),
     out_min=np.array([0.5, 0.4, 0.4]), out_max=np.array([1.5, 0.6, 0.6]))
 
 
@@ -133,7 +133,7 @@ class TestSerialization:
         (_written(write_groups_csv, PINNED_GROUPS),
          "ca5109784fc3baf971dcf9791adc404c09a17cc6bcbe94d15014f0dc66203202"),
         (_written(save_network, PINNED_NETWORK),
-         "0454f2e5bf14c184caad5e3fe1ba2841f086e8801a39108e9590a368f23792d9"),
+         "0cbcdf76438aea31c0729e7edfee0c1eb8086846c1c9c523955c39cb540e3458"),
     ], ids=["signal", "export_signal", "records", "groups", "network"])
     def test_artifact_bytes_pinned(self, tmp_path, write, digest):
         path = write(tmp_path / "artifact")
@@ -189,9 +189,9 @@ class TestSerialization:
         assert back.kind is net.kind
 
     def test_network_whose_kind_does_not_fit_its_outputs_refused(self, tmp_path):
-        net = Network(ModelKind.ENHANCED, w1=np.zeros((2, 4)), b1=np.zeros(2),
-                      w2=np.zeros((3, 2)), b2=np.zeros(3), in_min=np.zeros(4),
-                      in_max=np.ones(4), out_min=np.zeros(3), out_max=np.ones(3))
+        net = Network(ModelKind.ENHANCED, w1=np.zeros((2, 3)), b1=np.zeros(2),
+                      w2=np.zeros((3, 2)), b2=np.zeros(3), in_min=np.zeros(3),
+                      in_max=np.ones(3), out_min=np.zeros(3), out_max=np.ones(3))
         path = tmp_path / "net.json"
         save_network(net, path)
         data = json.loads(path.read_text())

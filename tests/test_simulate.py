@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,9 +15,9 @@ from mcvd import (
     simulate_case,
 )
 
-from mcvd.simulate import SIM_VERSION
+from mcvd.simulate import _EXIT_S, SIM_VERSION, _exit_times
 
-from stepper_oracle import placement, step_molecule
+from stepper_oracle import lone_molecule_hit, placement, step_molecule
 
 
 def small_cfg(seed=0, **kw):
@@ -69,25 +70,31 @@ class TestGeometry:
                 assert on_surface == pytest.approx(p.r_tx, rel=1e-12)
 
 
+def draws(rng):
+    """The three normals and the uniform of one event."""
+    return rng.standard_normal(3), rng.random()
+
+
 class TestStepMolecule:
     def test_zero_sigma_never_moves_or_absorbs(self):
         p = SystemParams(d=2.0, r_tx=0.0, r_rx=3.0, diff_coeff=1.0)
         rng = np.random.default_rng(0)
         pos, _ = placement(p)
         for _ in range(50):
-            nxt = step_molecule(pos, p, 0.0, rng)
+            nxt = step_molecule(pos, p, 0.0, *draws(rng))
             assert nxt is not None
             assert np.array_equal(nxt, pos)
             pos = nxt
 
     def test_far_molecule_survives_single_step(self):
-        # 10 sigma away from the surface: absorption odds below 1e-15
+        # 10 sigma away from the surface: absorption odds, bridge included,
+        # below 1e-15
         p = SystemParams(d=10.0, r_tx=0.0, r_rx=1.0, diff_coeff=1.0)
         release, _ = placement(p)
         sigma = 0.1
         rng = np.random.default_rng(123)
         for _ in range(2000):
-            assert step_molecule(release, p, sigma, rng) is not None
+            assert step_molecule(release, p, sigma**2 / 2, *draws(rng)) is not None
 
     def test_reflection_rolls_back(self):
         p = SystemParams(d=1.0, r_tx=5.0, r_rx=2.0, diff_coeff=1.0)
@@ -96,7 +103,7 @@ class TestStepMolecule:
         pos = release
         rollbacks = 0
         for _ in range(500):
-            nxt = step_molecule(pos, p, 0.8, rng)
+            nxt = step_molecule(pos, p, 0.8**2 / 2, *draws(rng))
             if nxt is None:
                 pos = release
                 continue
@@ -107,6 +114,37 @@ class TestStepMolecule:
             assert nxt @ nxt >= p.r_rx**2 * (1 - 1e-12)
             pos = nxt
         assert rollbacks > 0  # with sigma this large the body is hit often
+
+
+def exit_cdf(s: float) -> float:
+    """P(D tau / rho^2 <= s) for the first exit from a ball: the series
+    1 + 2 sum_n (-1)^n exp(-n^2 pi^2 s), summed to 400 terms."""
+    return 1.0 + 2.0 * sum((-1.0) ** n * math.exp(-(n * math.pi) ** 2 * s)
+                           for n in range(1, 401))
+
+
+class TestExitTimes:
+    def test_nodes_invert_the_series(self):
+        # node k is the uniform k / 2^14; where the series is well
+        # conditioned (P above 1e-3) it must return that probability
+        cells = _EXIT_S.size
+        for k in range(cells // 64, cells, cells // 64):
+            assert exit_cdf(float(_EXIT_S[k])) == pytest.approx(k / cells, abs=2e-6)
+
+    def test_moments(self):
+        # E[s] = 1/6 and E[s^2] = 7/180 for the exit of 3D Brownian motion
+        # from a ball (s = D tau / rho^2), over an even grid of uniforms
+        s = _exit_times((np.arange(1 << 20) + 0.5) / (1 << 20))
+        assert s.mean() == pytest.approx(1 / 6, rel=1e-5)
+        assert (s * s).mean() == pytest.approx(7 / 180, rel=1e-4)
+
+    def test_lookup_is_linear_between_nodes(self):
+        cells = _EXIT_S.size
+        u = np.array([0.0, 0.25, 0.5 + 0.5 / cells, 1.0 - 1.0 / cells])
+        assert np.array_equal(_exit_times(u)[:2], _EXIT_S[[0, cells // 4]])
+        mid = (_EXIT_S[cells // 2] + _EXIT_S[cells // 2 + 1]) / 2
+        assert _exit_times(u)[2] == pytest.approx(mid, rel=1e-12)
+        assert _exit_times(u)[3] == _EXIT_S[-1]
 
 
 class TestSimulateCase:
@@ -162,21 +200,26 @@ class TestSimulateCase:
         assert np.max(np.abs(sig.cumulative_fraction - exact)) < 0.03
 
     def test_lone_molecules_match_scalar_stepper(self):
-        # one molecule per replication: the kernel draws the same normals as
-        # the scalar oracle, so every molecule is absorbed in the same substep
-        p = SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=100.0)
+        self.assert_lone_molecules_match(SystemParams(d=1.0, r_tx=2.0, r_rx=2.0,
+                                                      diff_coeff=100.0))
+
+    def test_lone_far_molecules_match_scalar_stepper(self):
+        # a point transmitter 4.2 sigma from the receiver: every molecule
+        # starts by jumping
+        self.assert_lone_molecules_match(SystemParams(d=3.0, r_tx=0.0, r_rx=2.0,
+                                                      diff_coeff=100.0))
+
+    @staticmethod
+    def assert_lone_molecules_match(p):
+        # one molecule per replication: the kernel draws the same normals and
+        # uniforms as the scalar oracle, so it absorbs every molecule in the
+        # same bin
         cfg = small_cfg(seed=13, n_molecules=1, n_replications=40, substep_factor=2)
-        sigma = float(np.sqrt(2.0 * p.diff_coeff * cfg.dt_sub))
         hits = np.zeros(cfg.grid.n_bins, dtype=np.int64)
         for r in range(cfg.n_replications):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))))
-            pos, _ = placement(p)
-            for j in range(cfg.grid.n_bins * cfg.substep_factor):
-                pos = step_molecule(pos, p, sigma, rng)
-                if pos is None:
-                    hits[j // cfg.substep_factor] += 1
-                    break
+            k = lone_molecule_hit(p, cfg, r)
+            if k is not None:
+                hits[k] += 1
         assert 0 < hits.sum() < cfg.n_replications
         expected = np.cumsum(hits) / float(cfg.n_emitted)
         assert np.array_equal(simulate_case(p, cfg).cumulative_fraction, expected)
@@ -202,10 +245,10 @@ class TestSimulateCase:
         assert sig.grid.n_bins == 40
 
 
-# sha256 of cumulative_fraction.tobytes() per simulator version, recorded
-# with the per-step kernel that drew standard_normal((n, 3)) each substep. A
-# change that alters any of these bytes must bump SIM_VERSION and record the
-# new version's digests here.
+# sha256 of cumulative_fraction.tobytes() per simulator version: version 1
+# recorded with the fixed-step kernel that drew standard_normal((n, 3)) each
+# substep, version 2 with the event-driven kernel. A change that alters any of
+# these bytes must bump SIM_VERSION and record the new version's digests here.
 FROZEN_DIGESTS = {
     1: {
         "point": "f1c502be15e1a1316df6605b57cdaf5c5b19cec25ae3875845ce1a278dab7a05",
@@ -214,20 +257,28 @@ FROZEN_DIGESTS = {
         "odd_population": "66783b3c99337980c2d65a2531af3beda1d68cf4d1fb2e31007f168004a189c8",
         "all_absorbed": "5c86883d9fccf21d19f66d85bcad640c467064552aeb7514013f93513bf56c27",
     },
+    2: {
+        "point": "5b94c34bfa4fc71f48ccdfafa7dca610ee9ac580ae6e21e3dbcc08f3e5afe293",
+        "reflecting": "688b1701ee6f598769976d62ba25757162f5cd8a44ad648791efea9511d7e834",
+        "substeps": "d891d98ceb899e749ef6652a18a2d81b146be3fdf5466d6ca9fdf4efd4d72f37",
+        "odd_population": "b127842b38f06e86b62fa1f25ca7a44369594f4d8d96ad7668feccd334be41d3",
+        "all_absorbed": "61371764a32d70dedf70fa64e09a3ba69a7961a0ba6cb9903f09b0de290b3fbd",
+    },
 }
 
 FROZEN_CASES = {
     "point": (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), small_cfg(seed=1)),
     # the transmitter sits right behind the release point, so moves are often
-    # reverted; molecules are absorbed in every bin
+    # reverted; molecules are absorbed in every bin at SIM_VERSION 1
     "reflecting": (SystemParams(d=2.0, r_tx=10.0, r_rx=5.0, diff_coeff=100.0),
                    small_cfg(seed=2)),
     "substeps": (SystemParams(d=3.0, r_tx=4.0, r_rx=5.0, diff_coeff=100.0),
                  small_cfg(seed=3, substep_factor=3)),
-    # 3 x 777 normals per substep do not divide a chunk of draws
+    # 3 x 777 normals per substep (per round at version 2) do not divide a
+    # chunk of draws
     "odd_population": (SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0),
                        small_cfg(seed=4, n_molecules=777)),
-    # every molecule is absorbed by bin 105 of 200
+    # every molecule is absorbed by bin 105 of 200 (bin 73 at version 2)
     "all_absorbed": (SystemParams(d=0.5, r_tx=1.0, r_rx=100.0, diff_coeff=100.0),
                      small_cfg(seed=2, n_molecules=10, grid=TimeGrid(1e-2, 2.0))),
 }
@@ -242,9 +293,14 @@ class TestFrozenSignals:
         assert hashlib.sha256(v.tobytes()).hexdigest() == FROZEN_DIGESTS[SIM_VERSION][name]
 
     def test_cases_cover_what_they_name(self):
+        # a step from the release point is rejected about half the time
         p, cfg = FROZEN_CASES["reflecting"]
-        v = simulate_case(p, cfg).cumulative_fraction
-        assert np.all(np.diff(v, prepend=0.0) > 0)
+        release, _ = placement(p)
+        rng = np.random.default_rng(0)
+        var = p.diff_coeff * cfg.dt_sub
+        rejected = sum(np.array_equal(step_molecule(release, p, var, *draws(rng)), release)
+                       for _ in range(200))
+        assert rejected >= 80
         p, cfg = FROZEN_CASES["all_absorbed"]
         v = simulate_case(p, cfg).cumulative_fraction
         assert v[-2] == 1.0
