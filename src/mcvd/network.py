@@ -178,25 +178,16 @@ def _output_jacobian(net: Network, x_scaled: np.ndarray) -> np.ndarray:
     Same backward pass the trainer uses for its Gauss-Newton matrices.
     """
     n = x_scaled.shape[0]
-    h, o, n_in = net.hidden, net.out_dim, net.n_inputs
-    hid = np.tanh(x_scaled @ net.w1.T + net.b1)          # (n, h)
-    gate = 1.0 - hid**2                                   # (n, h)
-    k = net.n_weights
-    jac = np.zeros((n * o, k))
-    d_w1 = (net.w2[None, :, :] * gate[:, None, :])[:, :, :, None] * x_scaled[:, None, None, :]
-    jac[:, :h * n_in] = d_w1.reshape(n * o, h * n_in)
-    ofs = h * n_in
-    jac[:, ofs:ofs + h] = (net.w2[None, :, :] * gate[:, None, :]).reshape(n * o, h)
-    ofs += h
-    d_w2 = np.zeros((n, o, o, h))
-    idx = np.arange(o)
-    d_w2[:, idx, idx, :] = hid[:, None, :]
-    jac[:, ofs:ofs + o * h] = d_w2.reshape(n * o, o * h)
-    ofs += o * h
-    d_b2 = np.zeros((n, o, o))
-    d_b2[:, idx, idx] = 1.0
-    jac[:, ofs:] = d_b2.reshape(n * o, o)
-    return jac
+    o = net.out_dim
+    hid = np.tanh(x_scaled @ net.w1.T + net.b1)                 # (n, h)
+    back = net.w2[None] * (1.0 - hid**2)[:, None]               # (n, o, h)
+    eye = np.eye(o)
+    return np.concatenate([
+        (back[..., None] * x_scaled[:, None, None, :]).reshape(n * o, -1),
+        back.reshape(n * o, -1),
+        (eye[None, :, :, None] * hid[:, None, None, :]).reshape(n * o, -1),
+        np.tile(eye, (n, 1)),
+    ], axis=1)
 
 
 def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

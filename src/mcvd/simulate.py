@@ -59,12 +59,10 @@ runs in rounds; in each, every molecule in flight takes one event. Each
 event consumes three normals (the step, or the direction of the jump) and
 one uniform (the bridge test, or the exit time). A round of n molecules
 takes 3n normals, the x components of all n molecules in array order, then
-the y, then the z, and n uniforms, in array order.
-The kernel draws in chunks that do not line up with rounds; that leaves
-every value unchanged, because the Generator keeps no state between calls,
-so n draws followed by m draws give the same values as one draw of n + m.
-Any change to this order, or to the floating-point operations applied to the
-draws, changes the signal bytes and must bump SIM_VERSION.
+the y, then the z, and n uniforms, in array order; a round takes them with
+one call per stream. Any change to this order, or to the floating-point
+operations applied to the draws, changes the signal bytes and must bump
+SIM_VERSION.
 """
 from __future__ import annotations
 
@@ -90,10 +88,6 @@ __all__ = [
 SIM_VERSION = 2
 
 _BATCH_TAG = 0x5EED
-
-# Draws per call to a generator (at least three normals and one uniform per
-# molecule, so that one chunk always covers a round).
-_CHUNK = 1 << 13
 
 # A molecule farther than this many sigma from both surfaces jumps.
 NEAR_SIGMAS = 2.0
@@ -147,26 +141,6 @@ def _exit_times(u: np.ndarray) -> np.ndarray:
     return s
 
 
-class _Draws:
-    """One kind of draw from one stream, made in chunks and handed out in
-    order. ``fill`` is a Generator method that takes ``out=``."""
-
-    def __init__(self, fill, size: int) -> None:
-        self.fill = fill
-        self.buf = np.empty(size)
-        self.used = size
-
-    def take(self, n: int) -> np.ndarray:
-        if self.used + n > self.buf.size:
-            # keep the unread tail, then draw the rest of the chunk after it
-            left = self.buf.size - self.used
-            self.buf[:left] = self.buf[self.used:]
-            self.fill(out=self.buf[left:])
-            self.used = 0
-        self.used += n
-        return self.buf[self.used - n:self.used]
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls. Full-study defaults are 3000 molecules, 500
@@ -213,8 +187,6 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
     normal_rng, uniform_rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i)))) for i in (0, 1))
     n = cfg.n_molecules
-    normals = _Draws(normal_rng.standard_normal, max(_CHUNK, 3 * n))
-    uniforms = _Draws(uniform_rng.random, max(_CHUNK, n))
     d_dt = p.diff_coeff * cfg.dt_sub
     near = NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt))
     n_steps = cfg.grid.n_bins * cfg.substep_factor
@@ -228,8 +200,8 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
     # a uniform of exactly 0 has log -inf, which passes the bridge test
     with np.errstate(divide="ignore"):
         while n:
-            g = normals.take(3 * n).reshape(3, n)
-            u = uniforms.take(n)
+            g = normal_rng.standard_normal((3, n))
+            u = uniform_rng.random(n)
             yz = pos[1] * pos[1]
             yz += pos[2] * pos[2]
             gap = np.sqrt(pos[0] * pos[0] + yz) - p.r_rx

@@ -4,6 +4,7 @@ The heavy Monte Carlo criteria run at their stated sizes; expect several
 minutes of wall time. Run with `pytest -s tests/test_acceptance.py` to watch
 the per-criterion lines appear.
 """
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,10 @@ from checks import gradient_check, jacobian_check, spearman
 from erfc_oracle import ERFC_TABLE
 from test_network import random_network
 
+# worker processes for the Monte Carlo criteria: the runner's cores, at most
+# four; the signals do not depend on the count
+WORKERS = min(4, os.cpu_count() or 1)
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
@@ -57,7 +62,7 @@ def test_criterion_1_analytic_oracle_agreement():
     p = SystemParams(d=4.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
     cfg = SimConfig(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
                     seed=101, substep_factor=10)   # dt_sub = 0.1 ms
-    with process_pool(2) as pool:
+    with process_pool(WORKERS) as pool:
         sig = simulate_case(p, cfg, pool=pool)
     exact = np.array([point_hit_fraction(p, t) for t in cfg.grid.times()])
     dev = float(np.max(np.abs(sig.cumulative_fraction - exact)))
@@ -72,7 +77,7 @@ def test_criterion_1_bound_at_the_study_step():
     p = SystemParams(d=4.0, r_tx=0.0, r_rx=5.0, diff_coeff=100.0)
     cfg = SimConfig(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
                     seed=101, substep_factor=1)
-    with process_pool(2) as pool:
+    with process_pool(WORKERS) as pool:
         sig = simulate_case(p, cfg, pool=pool)
     exact = np.array([point_hit_fraction(p, t) for t in cfg.grid.times()])
     dev = float(np.max(np.abs(sig.cumulative_fraction - exact)))
@@ -87,7 +92,7 @@ def test_criterion_2_spherical_transmitter_uplift():
     n_traj = 150_000
     cfg_kw = dict(n_molecules=3000, n_replications=50, grid=TimeGrid(1e-3, 1.0),
                   substep_factor=1)
-    with process_pool(2) as pool:
+    with process_pool(WORKERS) as pool:
         sph = simulate_case(SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0),
                             SimConfig(seed=202, **cfg_kw), pool=pool)
         pnt = simulate_case(SystemParams(d=5.0, r_tx=0.0, r_rx=8.0, diff_coeff=80.0),
@@ -148,7 +153,7 @@ def test_criterion_4_model_ordering():
     cases = [SystemParams(d=d, r_tx=rtx, r_rx=rrx, diff_coeff=75.0)
              for d in (4.0, 8.0) for rtx in (5.0, 10.0) for rrx in (5.0, 10.0)]
     cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=404)
-    with process_pool(2) as pool:
+    with process_pool(WORKERS) as pool:
         sims = [simulate_grid_case(p, cfg, pool) for p in cases]
     wins = 0
     for p, sig in zip(cases, sims):
@@ -172,8 +177,8 @@ FIT_SEED = 708   # the realization the curve-fit baseline is fitted to
 @pytest.fixture(scope="module")
 def generalization_run(tmp_path_factory):
     """Phase 1 on 108 training cases, phase 2, then 12 interior validation
-    cases with per-case fit and prediction RMSE. Every simulation runs on 2
-    worker processes, which gives the same bytes as one.
+    cases with per-case fit and prediction RMSE. Every simulation runs on
+    ``WORKERS`` worker processes, which gives the same bytes as one.
 
     Both RMSEs are taken against the seed-707 signal of each case. The
     network's prediction comes from the physical parameters alone; the
@@ -192,12 +197,12 @@ def generalization_run(tmp_path_factory):
     vds_grid = ParameterGrid((3.0, 5.0, 7.0), (6.0, 8.0), (70.0,), (6.0, 8.0),
                              Provenance.VDS)
     tds_cfg = SimConfig(n_molecules=3000, n_replications=10, grid=grid, seed=505)
-    records = run_phase1(tds_grid, tds_cfg, [ModelKind.ENHANCED], out, n_workers=2)
+    records = run_phase1(tds_grid, tds_cfg, [ModelKind.ENHANCED], out, n_workers=WORKERS)
     net, _report = train(records, hidden=16, seed=0)
     vds_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=707)
     fit_cfg = SimConfig(n_molecules=3000, n_replications=20, grid=grid, seed=FIT_SEED)
     rows = []
-    with process_pool(2) as pool:
+    with process_pool(WORKERS) as pool:
         for p in vds_grid.cases():
             sig = simulate_grid_case(p, vds_cfg, pool)
             fit_sig = simulate_grid_case(p, fit_cfg, pool)

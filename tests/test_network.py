@@ -294,6 +294,14 @@ class TestGradientCheck:
             net = random_network(seed=seed)
             assert gradient_check(net, rec) <= 1e-6
 
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_batch_of_records(self, out_dim):
+        # several records, so each record's rows must land in its own block
+        for seed in range(3):
+            net = random_network(seed=seed, out_dim=out_dim)
+            x = np.random.default_rng(seed + 10).uniform(-1, 1, (6, net.n_inputs))
+            assert gradient_check_scaled(net, x) <= 1e-6
+
     def test_zero_weight_network(self):
         net = random_network(seed=1)
         net.w1[:] = 0; net.b1[:] = 0; net.w2[:] = 0; net.b2[:] = 0

@@ -263,6 +263,7 @@ FROZEN_DIGESTS = {
         "substeps": "d891d98ceb899e749ef6652a18a2d81b146be3fdf5466d6ca9fdf4efd4d72f37",
         "odd_population": "b127842b38f06e86b62fa1f25ca7a44369594f4d8d96ad7668feccd334be41d3",
         "all_absorbed": "61371764a32d70dedf70fa64e09a3ba69a7961a0ba6cb9903f09b0de290b3fbd",
+        "study_size": "089cb178e967eef99fa9dce8a95bb1783c22508e39c8e6ddeca086d422a29ef5",
     },
 }
 
@@ -274,13 +275,17 @@ FROZEN_CASES = {
                    small_cfg(seed=2)),
     "substeps": (SystemParams(d=3.0, r_tx=4.0, r_rx=5.0, diff_coeff=100.0),
                  small_cfg(seed=3, substep_factor=3)),
-    # 3 x 777 normals per substep (per round at version 2) do not divide a
-    # chunk of draws
+    # an odd population: the first round takes 3 x 777 normals
     "odd_population": (SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0),
                        small_cfg(seed=4, n_molecules=777)),
     # every molecule is absorbed by bin 105 of 200 (bin 73 at version 2)
     "all_absorbed": (SystemParams(d=0.5, r_tx=1.0, r_rx=100.0, diff_coeff=100.0),
                      small_cfg(seed=2, n_molecules=10, grid=TimeGrid(1e-2, 2.0))),
+    # the study's population and step: the first round takes 9000 normals
+    # and 3000 uniforms
+    "study_size": (SystemParams(d=5.0, r_tx=4.0, r_rx=8.0, diff_coeff=80.0),
+                   small_cfg(seed=11, n_molecules=3000, n_replications=2,
+                             grid=TimeGrid(1e-3, 0.2))),
 }
 
 
