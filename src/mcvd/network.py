@@ -202,7 +202,7 @@ def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _init_network(kind: ModelKind, hidden: int, out_dim: int, seed: int,
                   in_min, in_max, out_min, out_max) -> Network:
-    rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     n_in = N_INPUTS[kind]
     w1 = rng.uniform(-1.0, 1.0, (hidden, n_in)) / np.sqrt(n_in)
     w2 = rng.uniform(-1.0, 1.0, (out_dim, hidden)) / np.sqrt(hidden)

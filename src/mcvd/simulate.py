@@ -32,12 +32,12 @@ a ratio of squared lengths to D dt_sub, so doubling every length and
 quadrupling D gives the same bytes.
 
 Determinism contract: every (case, replication) pair draws from its own
-explicitly seeded streams. The mixing function is
-``SeedSequence(entropy=seed, spawn_key=(replication_index,))`` inside a case
-and ``SeedSequence(entropy=seed, spawn_key=(0x5EED, case_hash))`` across a
-grid, where case_hash is derived from the case's physical parameters (not
-its position), so results are bitwise reproducible for any worker count and
-any input ordering.
+explicitly seeded streams. A case's replications take the children of
+``SeedSequence(seed).spawn(n_replications)``, spawn keys (0,), (1,), ...; a
+grid seeds each case from ``SeedSequence(entropy=seed, spawn_key=(0x5EED,
+case_hash))``, with case_hash derived from the case's physical parameters
+(not its position), so results are bitwise reproducible for any worker
+count and any input ordering.
 
 Parallelism: kernels that run at the same time run in worker processes, never
 on threads. A round of events makes a few dozen numpy calls on arrays of a
@@ -52,17 +52,24 @@ counts; nothing else crosses the process boundary. Integer sums do not
 depend on which process ran which replication, so the signal bytes do not
 depend on the worker count.
 
-Draw-order rule: a replication has two streams, PCG64 generators seeded by
-the children (0,) and (1,) of its ``SeedSequence``: standard normals from the
-first and uniforms on [0, 1) from the second, never interleaved. The kernel
-runs in rounds; in each, every molecule in flight takes one event. Each
-event consumes three normals (the step, or the direction of the jump) and
-one uniform (the bridge test, or the exit time). A round of n molecules
-takes 3n normals, the x components of all n molecules in array order, then
-the y, then the z, and n uniforms, in array order; a round takes them with
+Draw-order rule: a replication has two streams, ``default_rng`` of the
+children (0,) and (1,) that ``spawn(2)`` makes of its fresh ``SeedSequence``:
+standard normals from the first and uniforms on [0, 1) from the second,
+never interleaved. The kernel runs in rounds; in each, every molecule in
+flight takes one event. Each event consumes three normals (the step, or the
+direction of the jump) and one uniform (the bridge test, or the exit time).
+A round of n molecules takes 3n normals, the x components of all n molecules
+in array order, then the y, then the z, and n uniforms, in array order, with
 one call per stream. Any change to this order, or to the floating-point
 operations applied to the draws, changes the signal bytes and must bump
 SIM_VERSION.
+
+State: a replication keeps its molecules in one (6, n) array, a column per
+molecule in flight: x, y, z, the gap sqrt(x^2 + y^2 + z^2) - r_rx to the
+receiver, the squared distance to the transmitter's centre, and the clock.
+The two distances are computed once per position, when a molecule is
+released or moves; a rejected move keeps the molecule's old column, and the
+molecules that leave are dropped from the array together.
 """
 from __future__ import annotations
 
@@ -177,38 +184,38 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
     """First-hit counts per output bin for one replication of case ``p``,
     placed, moved and drawn as the module docstring states.
 
-    A round works on all molecules in flight at once: positions are a (3, n)
-    array and clocks an (n,) array. Every molecule's step and jump are both
-    computed, and each molecule keeps the one its distance calls for; that
-    costs fewer numpy calls per round than gathering the two groups apart,
-    and the rounds late in a replication, with few molecules left, are
-    nothing but calls.
+    A round moves every column of the state array at once. Every molecule's
+    step and jump are both computed, and each molecule keeps the one its
+    distance calls for; that costs fewer numpy calls per round than
+    gathering the two groups apart, and the rounds late in a replication,
+    with few molecules left, are nothing but calls.
     """
-    normal_rng, uniform_rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, i)))) for i in (0, 1))
+    normal_rng, uniform_rng = map(np.random.default_rng, seed_seq.spawn(2))
     n = cfg.n_molecules
     d_dt = p.diff_coeff * cfg.dt_sub
     near = NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt))
     n_steps = cfg.grid.n_bins * cfg.substep_factor
-    has_tx = p.r_tx > 0.0
-    tx_x = p.r_rx + p.d + p.r_tx
+    # a point transmitter sits at infinity: it never bounds rho or rejects a move
+    tx_x = p.r_rx + p.d + p.r_tx if p.r_tx > 0.0 else np.inf
     tx_r2 = p.r_tx * p.r_tx
-    pos = np.zeros((3, n))
-    pos[0] = p.r_rx + p.d
-    clock = np.zeros(n)
+
+    def with_geometry(x: np.ndarray) -> np.ndarray:
+        """Positions (3, n) stacked over their gaps and squared tx distances."""
+        yz = x[1] * x[1]
+        yz += x[2] * x[2]
+        dx = x[0] - tx_x
+        return np.vstack((x, np.sqrt(x[0] * x[0] + yz) - p.r_rx, dx * dx + yz))
+
+    state = np.zeros((6, n))
+    state[:5] = with_geometry(np.array([[p.r_rx + p.d], [0.0], [0.0]]))
     hit_ends = []
     # a uniform of exactly 0 has log -inf, which passes the bridge test
     with np.errstate(divide="ignore"):
         while n:
             g = normal_rng.standard_normal((3, n))
             u = uniform_rng.random(n)
-            yz = pos[1] * pos[1]
-            yz += pos[2] * pos[2]
-            gap = np.sqrt(pos[0] * pos[0] + yz) - p.r_rx
-            rho = gap
-            if has_tx:
-                dx = pos[0] - tx_x
-                rho = np.minimum(gap, np.sqrt(dx * dx + yz) - p.r_tx)
+            gap, tx2, clock = state[3:]
+            rho = np.minimum(gap, np.sqrt(tx2) - p.r_tx)
             far = rho > near
             # both moves are pos + g * scale: a far molecule's g, normalized,
             # points to its jump target on the ball of radius rho; a near
@@ -219,28 +226,21 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
             gg = g[0] * g[0]
             gg += g[1] * g[1]
             gg += g[2] * g[2]
-            x1 = g * np.where(far, rho / np.sqrt(gg), np.sqrt(2.0 * var))
-            x1 += pos
-            # a near step is absorbed by the bridge test u < exp(-gap gap1 / var),
-            # taken as log(u) < -gap gap1 / var, which a step ending inside the
-            # receiver passes (its right side is >= 0)
-            yz = x1[1] * x1[1]
-            yz += x1[2] * x1[2]
-            gap1 = np.sqrt(x1[0] * x1[0] + yz) - p.r_rx
-            absorbed = np.log(u) < -(gap * gap1) / var
+            g *= np.where(far, rho / np.sqrt(gg), np.sqrt(2.0 * var))
+            g += state[:3]
+            moved = with_geometry(g)
+            # a near step to gap1 = moved[3] is absorbed by the bridge test
+            # u < exp(-gap gap1 / var), taken as log(u) < -gap gap1 / var, which
+            # a step ending inside the receiver passes (its right side is >= 0)
+            absorbed = np.log(u) < -(gap * moved[3]) / var
             absorbed &= ~far
-            if has_tx:
-                dx = x1[0] - tx_x
-                x1 = np.where(dx * dx + yz <= tx_r2, pos, x1)
-            pos = x1
-            clock = np.where(far, clock + _exit_times(u) * (rho * rho / d_dt), t1)
             hit_ends.append(t1.compress(absorbed))
-            done = absorbed | (clock >= n_steps)
+            state[5] = np.where(far, clock + _exit_times(u) * (rho * rho / d_dt), t1)
+            state[:5] = np.where(moved[4] <= tx_r2, state[:5], moved)
+            done = absorbed | (state[5] >= n_steps)
             if np.count_nonzero(done):
-                keep = np.flatnonzero(~done)
-                pos = pos.take(keep, axis=1)
-                clock = clock.take(keep)
-                n = clock.size
+                state = state.compress(~done, axis=1)
+                n = state.shape[1]
     # a hit in the step ending at grid point t1 falls in bin (t1 - 1) // substep_factor
     ends = np.concatenate(hit_ends).astype(np.int64)
     return np.bincount((ends - 1) // cfg.substep_factor,
@@ -279,8 +279,7 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
     if pool is None and n_workers > 1 and cfg.n_replications > 1:
         with process_pool(min(n_workers, cfg.n_replications)) as own:
             return simulate_case(p, cfg, pool=own)
-    seqs = [np.random.SeedSequence(entropy=cfg.seed, spawn_key=(r,))
-            for r in range(cfg.n_replications)]
+    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_replications)
     all_hits = (map if pool is None else pool.map)(_replication_hits, repeat(p),
                                                    repeat(cfg), seqs)
     total = np.sum(list(all_hits), axis=0, dtype=np.int64)

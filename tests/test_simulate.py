@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from mcvd import (
     simulate_case,
 )
 
-from mcvd.simulate import _EXIT_S, SIM_VERSION, _exit_times
+from mcvd.pipeline import reduced_grids
+from mcvd.simulate import _EXIT_S, SIM_VERSION, _exit_times, case_seed
 
 from stepper_oracle import lone_molecule_hit, placement, step_molecule
 
@@ -289,6 +291,15 @@ FROZEN_CASES = {
 }
 
 
+# sha256 over the signals of all 72 cases of reduced_grids() in grid order, each
+# seeded by case_seed as run_phase1 seeds it (300 molecules, 1 replication,
+# TimeGrid(1e-3, 0.2), master seed 1). The frozen cases above share only one
+# (d, r_tx, r_rx, D) with these.
+REDUCED_GRIDS_DIGESTS = {
+    2: "8602972ddf726113bfe892736984b25a4856232c2c2ff64ff933ad95d06cf9c3",
+}
+
+
 class TestFrozenSignals:
     @pytest.mark.parametrize("name", sorted(FROZEN_CASES))
     def test_signal_bytes_pinned_per_sim_version(self, name):
@@ -296,6 +307,16 @@ class TestFrozenSignals:
         p, cfg = FROZEN_CASES[name]
         v = simulate_case(p, cfg).cumulative_fraction
         assert hashlib.sha256(v.tobytes()).hexdigest() == FROZEN_DIGESTS[SIM_VERSION][name]
+
+    def test_reduced_grids_bytes_pinned_per_sim_version(self):
+        assert SIM_VERSION in REDUCED_GRIDS_DIGESTS, "record the digest of this SIM_VERSION"
+        cfg = small_cfg(seed=1, n_replications=1, grid=TimeGrid(1e-3, 0.2))
+        digest = hashlib.sha256()
+        for grid in reduced_grids():
+            for p in grid.cases():
+                sig = simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
+                digest.update(sig.cumulative_fraction.tobytes())
+        assert digest.hexdigest() == REDUCED_GRIDS_DIGESTS[SIM_VERSION]
 
     def test_cases_cover_what_they_name(self):
         # a step from the release point is rejected about half the time
@@ -313,11 +334,8 @@ class TestFrozenSignals:
 
 class TestSimulateBatch:
     def test_batch_of_one_equals_case_with_derived_seed(self, tmp_path):
-        from dataclasses import replace
-
         from mcvd import ModelKind, Provenance, run_phase1
         from mcvd.pipeline import ParameterGrid, case_key, read_signal_csv
-        from mcvd.simulate import case_seed
         p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
         cfg = small_cfg(seed=5)
         grid = ParameterGrid((p.d,), (p.r_tx,), (p.diff_coeff,), (p.r_rx,), Provenance.TDS)
