@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis
 from .fitting import FitProblem, fit
-from .network import CaseRecord, forward
+from .network import DEFAULT_HIDDEN, CaseRecord, forward
 from .pipeline import (
     RunManifest,
     case_key,
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a network on a records CSV")
     sp.add_argument("--records", required=True)
     sp.add_argument("--model", choices=["primitive", "enhanced"], default="enhanced")
-    sp.add_argument("--hidden", type=int, default=10)
+    sp.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="run directory for the network artifacts")
     sp.set_defaults(func=_cmd_train)
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", choices=["reduced", "full"], default="reduced",
                     help="full runs the complete 270-case study")
     sp.add_argument("--model", choices=["primitive", "enhanced", "both"], default="both")
-    sp.add_argument("--hidden", type=int, default=10)
+    sp.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=_cmd_pipeline)
     return parser

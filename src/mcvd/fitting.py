@@ -174,5 +174,5 @@ def fit(problem: FitProblem) -> FitResult:
             break
         if converged:
             break
-    model = ModelParams.from_coefficients(problem.kind, x)
-    return FitResult(model=model, rss=rss, n_iterations=n_iter, converged=converged)
+    return FitResult(model=ModelParams(problem.kind, *x.tolist()), rss=rss,
+                     n_iterations=n_iter, converged=converged)

@@ -12,7 +12,12 @@ ratios, so its inputs are (d/r_rx, r_tx/r_rx, D/r_rx^2) and its targets
 
 is the scale of the same curve written as erfc(k (d/r_rx) / (Dt/r_rx^2)^b3).
 ``forward`` converts k back to b2. Inputs and targets are scaled to [-1, 1]
-by training-set min/max. The training objective is
+by training-set min/max.
+
+``train`` optimizes one flat weight vector ``w1|b1|w2|b2``, each matrix
+row-major, which is also the column order of the output Jacobian; it reads
+the four layers as views into that vector and builds its ``Network`` once,
+after the last epoch. The training objective is
 
     F = beta * E_D + alpha * E_W,    E_D = sum of squared normalized errors,
                                      E_W = 0.5 * sum of squared weights,
@@ -81,7 +86,8 @@ class TrainReport:
 
 @dataclass
 class Network:
-    """Weights plus the normalization metadata needed to apply them."""
+    """Weights plus the normalization metadata needed to apply them. The kind
+    fixes the input and output sizes; weights of other shapes are refused."""
 
     kind: ModelKind
     w1: np.ndarray            # (hidden, inputs)
@@ -95,6 +101,12 @@ class Network:
 
     def __post_init__(self) -> None:
         self.kind = ModelKind(self.kind)
+        h, i, o = self.hidden, N_INPUTS[self.kind], len(default_bounds(self.kind))
+        shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2,
+                                    self.in_min, self.in_max, self.out_min, self.out_max)]
+        if shapes != [(h, i), (h,), (o, h), (o,), (i,), (i,), (o,), (o,)]:
+            raise ValidationError(f"inconsistent weight shapes for the {self.kind.value} "
+                                  f"kind: {shapes}")
         if np.any(self.in_min >= self.in_max) or np.any(self.out_min >= self.out_max):
             raise ValidationError("normalization mins must be strictly below maxes")
 
@@ -103,37 +115,8 @@ class Network:
         return self.w1.shape[0]
 
     @property
-    def n_inputs(self) -> int:
-        return self.w1.shape[1]
-
-    @property
     def out_dim(self) -> int:
         return self.w2.shape[0]
-
-    @property
-    def n_weights(self) -> int:
-        h, o = self.hidden, self.out_dim
-        return h * (self.n_inputs + 1) + o * (h + 1)
-
-    def flat_weights(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
-
-    def set_flat_weights(self, w: np.ndarray) -> None:
-        h, o, n_in = self.hidden, self.out_dim, self.n_inputs
-        i = 0
-        self.w1 = w[i:i + h * n_in].reshape(h, n_in).copy(); i += h * n_in
-        self.b1 = w[i:i + h].copy(); i += h
-        self.w2 = w[i:i + o * h].reshape(o, h).copy(); i += o * h
-        self.b2 = w[i:i + o].copy()
-
-    def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
-        return 2.0 * (raw - self.in_min) / (self.in_max - self.in_min) - 1.0
-
-    def denormalize_outputs(self, scaled: np.ndarray) -> np.ndarray:
-        return self.out_min + (scaled + 1.0) * (self.out_max - self.out_min) / 2.0
-
-    def normalize_targets(self, raw: np.ndarray) -> np.ndarray:
-        return 2.0 * (raw - self.out_min) / (self.out_max - self.out_min) - 1.0
 
 
 def _params_as_row(p: SystemParams, kind: ModelKind) -> np.ndarray:
@@ -166,21 +149,30 @@ def _b2_from_k(p: SystemParams, k: float, b3: float) -> float:
             - log_k) / log_4d
 
 
-def _forward_scaled(net: Network, x_scaled: np.ndarray) -> np.ndarray:
-    """Network map in normalized coordinates; x_scaled is (n, 4)."""
-    hidden = np.tanh(x_scaled @ net.w1.T + net.b1)
-    return hidden @ net.w2.T + net.b2
+def _layers(w: np.ndarray, n_in: int, out: int) -> tuple[np.ndarray, ...]:
+    """The layers (w1, b1, w2, b2) of a flat weight vector, as views into it."""
+    h = (w.size - out) // (n_in + 1 + out)
+    i, j = h * n_in, h * (n_in + 1)
+    return (w[:i].reshape(h, n_in), w[i:j],
+            w[j:j + out * h].reshape(out, h), w[j + out * h:])
 
 
-def _output_jacobian(net: Network, x_scaled: np.ndarray) -> np.ndarray:
-    """d y[n, o] / d w for all records; rows ordered record-major.
+def _forward_scaled(x_scaled: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """Network map in normalized coordinates; x_scaled is (n, inputs)."""
+    hidden = np.tanh(x_scaled @ w1.T + b1)
+    return hidden @ w2.T + b2
+
+
+def _output_jacobian(x_scaled: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """d y[n, o] / d w for all records; rows ordered record-major, columns
+    in the order of the flat weight vector.
 
     Same backward pass the trainer uses for its Gauss-Newton matrices.
     """
     n = x_scaled.shape[0]
-    o = net.out_dim
-    hid = np.tanh(x_scaled @ net.w1.T + net.b1)                 # (n, h)
-    back = net.w2[None] * (1.0 - hid**2)[:, None]               # (n, o, h)
+    o = w2.shape[0]
+    hid = np.tanh(x_scaled @ w1.T + b1)                         # (n, h)
+    back = w2[None] * (1.0 - hid**2)[:, None]                   # (n, o, h)
     eye = np.eye(o)
     return np.concatenate([
         (back[..., None] * x_scaled[:, None, None, :]).reshape(n * o, -1),
@@ -188,6 +180,11 @@ def _output_jacobian(net: Network, x_scaled: np.ndarray) -> np.ndarray:
         (eye[None, :, :, None] * hid[:, None, None, :]).reshape(n * o, -1),
         np.tile(eye, (n, 1)),
     ], axis=1)
+
+
+def _scale(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values in [lo, hi] mapped affinely onto [-1, 1]."""
+    return 2.0 * (raw - lo) / (hi - lo) - 1.0
 
 
 def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,17 +195,6 @@ def _normalization_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vmin[flat] -= 1.0
     vmax[flat] += 1.0
     return vmin, vmax
-
-
-def _init_network(kind: ModelKind, hidden: int, out_dim: int, seed: int,
-                  in_min, in_max, out_min, out_max) -> Network:
-    rng = np.random.default_rng(seed)
-    n_in = N_INPUTS[kind]
-    w1 = rng.uniform(-1.0, 1.0, (hidden, n_in)) / np.sqrt(n_in)
-    w2 = rng.uniform(-1.0, 1.0, (out_dim, hidden)) / np.sqrt(hidden)
-    return Network(kind, w1, np.zeros(hidden), w2, np.zeros(out_dim),
-                   np.asarray(in_min, float), np.asarray(in_max, float),
-                   np.asarray(out_min, float), np.asarray(out_max, float))
 
 
 def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
@@ -239,18 +225,19 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
                       stacklevel=2)
     in_min, in_max = _normalization_bounds(x_raw)
     out_min, out_max = _normalization_bounds(t_raw)
-    net = _init_network(kind, hidden, out_dim, seed, in_min, in_max, out_min, out_max)
-
-    x = net.normalize_inputs(x_raw)
-    t = net.normalize_targets(t_raw)
+    x = _scale(x_raw, in_min, in_max)
+    t = _scale(t_raw, out_min, out_max)
+    n_in = x.shape[1]
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-1.0, 1.0, (hidden, n_in)) / np.sqrt(n_in)
+    w2 = rng.uniform(-1.0, 1.0, (out_dim, hidden)) / np.sqrt(hidden)
+    w = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(out_dim)])
     n_targets = t.size
-    k = net.n_weights
-    w = net.flat_weights()
+    k = w.size
     eye = np.eye(k)
 
     def evaluate(wv: np.ndarray) -> tuple[np.ndarray, float, float]:
-        net.set_flat_weights(wv)
-        r = (_forward_scaled(net, x) - t).ravel()
+        r = (_forward_scaled(x, *_layers(wv, n_in, out_dim)) - t).ravel()
         return r, float(r @ r), 0.5 * float(wv @ wv)
 
     resid, e_d, e_w = evaluate(w)
@@ -267,8 +254,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
         # inner damped Gauss-Newton loop at fixed (alpha, beta)
         for _ in range(INNER_MAX_STEPS):
             f_cur = beta * e_d + alpha * e_w
-            net.set_flat_weights(w)
-            jac = _output_jacobian(net, x)
+            jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
             jtj = jac.T @ jac
             grad = 2.0 * beta * (jac.T @ resid) + alpha * w
             if np.max(np.abs(grad)) < 1e-12:
@@ -296,8 +282,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
                 break
         f_after_inner = beta * e_d + alpha * e_w
         # evidence re-estimation at the settled weights
-        net.set_flat_weights(w)
-        jac = _output_jacobian(net, x)
+        jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
         hess = 2.0 * beta * (jac.T @ jac) + alpha * eye
         if alpha == 0.0:
             gamma = float(k)
@@ -313,7 +298,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
         if epochs > 1 and \
                 (f_anchor - f_after_inner) <= OBJECTIVE_REL_TOL * max(abs(f_anchor), 1e-300):
             break
-    net.set_flat_weights(w)
+    net = Network(kind, *_layers(w, n_in, out_dim), in_min, in_max, out_min, out_max)
     report = TrainReport(epochs=epochs, e_d=e_d, e_w=e_w, alpha=alpha, beta=beta,
                          gamma=gamma, degenerate_targets=degenerate)
     return net, report
@@ -335,8 +320,9 @@ def forward(net: Network, p: SystemParams) -> ModelParams:
     if logger.isEnabledFor(logging.INFO) and \
             (np.any(raw < net.in_min) or np.any(raw > net.in_max)):
         logger.info("forward: input %s extrapolates beyond the training range", p)
-    scaled = net.normalize_inputs(raw[None, :])
-    out = net.denormalize_outputs(_forward_scaled(net, scaled)[0])
+    y = _forward_scaled(_scale(raw[None, :], net.in_min, net.in_max),
+                        net.w1, net.b1, net.w2, net.b2)[0]
+    out = net.out_min + (y + 1.0) * (net.out_max - net.out_min) / 2.0
     if net.kind is ModelKind.ENHANCED:
         out[1] = _b2_from_k(p, out[1], out[2])
     lo, hi = _CLAMP[net.kind]

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import FitProblem, default_bounds, fit
-from .network import N_INPUTS, CaseRecord, Network, TrainReport, forward, train
+from .fitting import FitProblem, fit
+from .network import CaseRecord, Network, TrainReport, forward, train
 from .simulate import SIM_VERSION, SimConfig, case_seed, process_pool, simulate_case
 from .types import (
     MissingArtifactError,
@@ -239,44 +239,34 @@ def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
     return records
 
 
+# the arrays of a network document, in the order it lists them after the
+# kind and the sizes: matrices as lists of rows, vectors as lists
+_NETWORK_ARRAYS = ("w1", "b1", "w2", "b2", "in_min", "in_max", "out_min", "out_max")
+
+
 def save_network(net: Network, path: Path) -> None:
     _write_json(path, NETWORK_FORMAT_VERSION, {
         "kind": net.kind.value,
         "hidden": net.hidden,
         "out_dim": net.out_dim,
-        "w1": [[_fmt(v) for v in row] for row in net.w1],
-        "b1": [_fmt(v) for v in net.b1],
-        "w2": [[_fmt(v) for v in row] for row in net.w2],
-        "b2": [_fmt(v) for v in net.b2],
-        "in_min": [_fmt(v) for v in net.in_min],
-        "in_max": [_fmt(v) for v in net.in_max],
-        "out_min": [_fmt(v) for v in net.out_min],
-        "out_max": [_fmt(v) for v in net.out_max],
+        **{name: [[_fmt(v) for v in row] if np.ndim(row) else _fmt(row)
+                  for row in getattr(net, name)] for name in _NETWORK_ARRAYS},
     })
 
 
 def load_network(path: Path) -> Network:
+    """A saved network. Every weight is read with ``float``, so a ``null``
+    or a non-numeric entry is refused, as are weights whose shapes do not
+    fit the network's kind."""
     path = Path(path)
     data = _read_json(path, NETWORK_FORMAT_VERSION)
-    as_arr = lambda rows: np.array([[float(v) for v in row] for row in rows])
-    as_vec = lambda row: np.array([float(v) for v in row])
     try:
-        net = Network(
-            kind=ModelKind(data["kind"]),
-            w1=as_arr(data["w1"]), b1=as_vec(data["b1"]),
-            w2=as_arr(data["w2"]), b2=as_vec(data["b2"]),
-            in_min=as_vec(data["in_min"]), in_max=as_vec(data["in_max"]),
-            out_min=as_vec(data["out_min"]), out_max=as_vec(data["out_max"]),
-        )
+        return Network(ModelKind(data["kind"]), **{
+            name: np.array([[float(v) for v in row] if isinstance(row, list) else float(row)
+                            for row in data[name]])
+            for name in _NETWORK_ARRAYS})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network in {path}: {exc!r}") from exc
-    # the kind fixes the input and output sizes; weights of others are refused
-    h, o, i = net.hidden, len(default_bounds(net.kind)), N_INPUTS[net.kind]
-    shapes = [a.shape for a in (net.w1, net.b1, net.w2, net.b2,
-                                net.in_min, net.in_max, net.out_min, net.out_max)]
-    if shapes != [(h, i), (h,), (o, h), (o,), (i,), (i,), (o,), (o,)]:
-        raise ValidationError(f"inconsistent weight shapes in network {path}")
-    return net
 
 
 def case_key(p: SystemParams, cfg: SimConfig) -> str:

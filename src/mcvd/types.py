@@ -118,17 +118,6 @@ class ModelParams:
             return np.array([self.b1])
         return np.array([self.b1, self.b2, self.b3])
 
-    @staticmethod
-    def from_coefficients(kind: ModelKind, coeffs) -> "ModelParams":
-        coeffs = np.asarray(coeffs, dtype=float)
-        if ModelKind(kind) is ModelKind.PRIMITIVE:
-            if coeffs.size != 1:
-                raise ValidationError("primitive model takes one coefficient")
-            return ModelParams(ModelKind.PRIMITIVE, float(coeffs[0]))
-        if coeffs.size != 3:
-            raise ValidationError("enhanced model takes three coefficients")
-        return ModelParams(ModelKind.ENHANCED, float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
-
 
 @dataclass(frozen=True)
 class TimeGrid:

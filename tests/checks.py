@@ -8,7 +8,7 @@ import numpy as np
 
 from mcvd.channel import _model_curve
 from mcvd.fitting import _curve_and_jacobian
-from mcvd.network import _forward_scaled, _output_jacobian, _params_as_row
+from mcvd.network import _forward_scaled, _layers, _output_jacobian, _params_as_row, _scale
 from mcvd.types import ModelKind, ValidationError
 
 
@@ -61,24 +61,22 @@ def gradient_check(net, record) -> float:
     normalized network outputs w.r.t. the weights and central finite
     differences with step 1e-6, at the record's input."""
     x = _params_as_row(record.input, net.kind)
-    return gradient_check_scaled(net, net.normalize_inputs(x[None, :]))
+    return gradient_check_scaled(net, _scale(x[None, :], net.in_min, net.in_max))
 
 
 def gradient_check_scaled(net, x_scaled: np.ndarray) -> float:
     """``gradient_check`` at inputs already normalized to the network's range."""
-    analytic = _output_jacobian(net, x_scaled)
-    w0 = net.flat_weights()
+    analytic = _output_jacobian(x_scaled, net.w1, net.b1, net.w2, net.b2)
+    w0 = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])
+    n_in, out = net.w1.shape[1], net.out_dim
     numeric = np.empty_like(analytic)
     h = 1e-6
     for i in range(w0.size):
         wp = w0.copy(); wp[i] += h
         wm = w0.copy(); wm[i] -= h
-        net.set_flat_weights(wp)
-        y_up = _forward_scaled(net, x_scaled).ravel()
-        net.set_flat_weights(wm)
-        y_dn = _forward_scaled(net, x_scaled).ravel()
+        y_up = _forward_scaled(x_scaled, *_layers(wp, n_in, out)).ravel()
+        y_dn = _forward_scaled(x_scaled, *_layers(wm, n_in, out)).ravel()
         numeric[:, i] = (y_up - y_dn) / (2.0 * h)
-    net.set_flat_weights(w0)
     return _masked_relative_deviation(analytic, numeric)
 
 

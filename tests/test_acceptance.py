@@ -121,7 +121,7 @@ def test_criterion_3_fitter_recovery():
 
     noiseless_ok = 0
     for _ in range(50):
-        truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
+        truth = ModelParams(ModelKind.ENHANCED, *rng.uniform(lo, hi))
         target = sample_model(p, truth, grid)
         got = fit(FitProblem(p, target, ModelKind.ENHANCED)).model
         rel = np.max(np.abs(got.coefficients() - truth.coefficients())
@@ -130,7 +130,7 @@ def test_criterion_3_fitter_recovery():
 
     noisy_ok = 0
     for _ in range(50):
-        truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
+        truth = ModelParams(ModelKind.ENHANCED, *rng.uniform(lo, hi))
         clean = sample_model(p, truth, grid).cumulative_fraction
         noisy = ReceivedSignal(grid, clean + rng.normal(0.0, 0.003, clean.size))
         got = fit(FitProblem(p, noisy, ModelKind.ENHANCED)).model

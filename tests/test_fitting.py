@@ -107,7 +107,7 @@ class TestFit:
         lo = np.array([BOUNDS_B1[0], BOUNDS_B2[0], BOUNDS_B3[0]])
         hi = np.array([BOUNDS_B1[1], BOUNDS_B2[1], BOUNDS_B3[1]])
         for _ in range(5):
-            truth = ModelParams.from_coefficients(ModelKind.ENHANCED, rng.uniform(lo, hi))
+            truth = ModelParams(ModelKind.ENHANCED, *rng.uniform(lo, hi))
             target = make_target(params, truth)
             got = fit(FitProblem(params, target, ModelKind.ENHANCED)).model
             c = got.coefficients()
@@ -136,8 +136,8 @@ class TestFittedCurveIsSampledCurve:
     @pytest.mark.parametrize("coeffs", [(0.6,), (1.0,), (1.7,), (1.0, 0.5, 0.5),
                                         (0.8, 0.45, 0.6), (1.6, 0.7, 0.35)])
     def test_bitwise_on_study_grid_points(self, coeffs):
-        model = ModelParams.from_coefficients(
-            ModelKind.PRIMITIVE if len(coeffs) == 1 else ModelKind.ENHANCED, coeffs)
+        model = ModelParams(
+            ModelKind.PRIMITIVE if len(coeffs) == 1 else ModelKind.ENHANCED, *coeffs)
         tds, vds = study_grids()
         for p in (tds.cases() + vds.cases())[::23]:
             fitted, _ = _curve_and_jacobian(p, model.kind, np.array(coeffs), GRID.times())

@@ -16,7 +16,7 @@ from mcvd import (
     train,
 )
 from mcvd.fitting import default_bounds
-from mcvd.network import N_INPUTS, _b2_from_k, _forward_scaled, _params_as_row, _targets
+from mcvd.network import N_INPUTS, _b2_from_k, _forward_scaled, _params_as_row, _scale, _targets
 
 from checks import gradient_check, gradient_check_scaled
 
@@ -79,6 +79,19 @@ def small_fittable_dataset(n=10, seed=11):
             for p, x in _random_cases(n, seed)]
 
 
+class TestNetworkShapes:
+    @pytest.mark.parametrize("kind, n_in, out", [
+        (ModelKind.ENHANCED, 4, 3),    # the primitive kind's four inputs
+        (ModelKind.PRIMITIVE, 4, 3),   # the enhanced kind's three outputs
+    ])
+    def test_weights_that_do_not_fit_the_kind_refused(self, kind, n_in, out):
+        h = 2
+        with pytest.raises(ValidationError, match="inconsistent weight shapes"):
+            Network(kind, w1=np.zeros((h, n_in)), b1=np.zeros(h), w2=np.zeros((out, h)),
+                    b2=np.zeros(out), in_min=np.zeros(n_in), in_max=np.ones(n_in),
+                    out_min=np.zeros(out), out_max=np.ones(out))
+
+
 class TestForward:
     def test_zero_weights_give_target_midrange(self):
         net = random_network(out_dim=3)
@@ -129,7 +142,7 @@ def bound_spanning_dataset(kind, n=40, seed=8):
         b = lo + (hi - lo) * (d - 2) / 8
         params = SystemParams(d=d, r_tx=rng.uniform(4, 10), r_rx=rng.uniform(4, 10),
                               diff_coeff=rng.uniform(50, 100))
-        records.append(CaseRecord(params, ModelParams.from_coefficients(kind, b),
+        records.append(CaseRecord(params, ModelParams(kind, *b),
                                   Provenance.TDS))
     return records
 
@@ -144,7 +157,7 @@ class TestForwardOnTrainedNetworks:
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
         rng = np.random.default_rng(5)
-        n_in = net.n_inputs
+        n_in = net.w1.shape[1]
         inside = rng.uniform(net.in_min, net.in_max, (60, n_in))
         outside = rng.uniform(net.in_min - 3 * (net.in_max - net.in_min),
                               net.in_max + 3 * (net.in_max - net.in_min), (200, n_in))
@@ -157,7 +170,9 @@ class TestForwardOnTrainedNetworks:
             p = case_at(row, net.kind)
             raw = _params_as_row(p, net.kind)[None, :]
             assert np.array_equal(raw[0], row)
-            unclipped = net.denormalize_outputs(_forward_scaled(net, net.normalize_inputs(raw)))
+            scaled = 2.0 * (raw - net.in_min) / (net.in_max - net.in_min) - 1.0
+            y = _forward_scaled(scaled, net.w1, net.b1, net.w2, net.b2)
+            unclipped = net.out_min + (y + 1.0) * (net.out_max - net.out_min) / 2.0
             if net.kind is ModelKind.ENHANCED:
                 # k back to b2: ln(r_rx^(1 - 2 b3) D^b3 / k) / ln(4D)
                 b1, k, b3 = unclipped[0]
@@ -247,7 +262,8 @@ class TestTrain:
         records = small_fittable_dataset()
         net_a, rep_a = train(records, hidden=6, seed=5)
         net_b, rep_b = train(records, hidden=6, seed=5)
-        assert np.array_equal(net_a.flat_weights(), net_b.flat_weights())
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(net_a, name), getattr(net_b, name))
         assert rep_a == rep_b
 
     def test_training_error_bounds_training_predictions(self):
@@ -274,14 +290,15 @@ class TestTrain:
 
     def test_gamma_within_weight_count(self):
         net, report = train(small_fittable_dataset(), hidden=6, seed=8)
-        assert 0.0 <= report.gamma <= net.n_weights
+        assert 0.0 <= report.gamma <= sum(a.size for a in (net.w1, net.b1, net.w2, net.b2))
         assert report.alpha > 0 and report.beta > 0
 
     def test_normalization_round_trip(self):
         records = small_fittable_dataset()
         net, _ = train(records, hidden=4, seed=1)
         raw = np.array([_params_as_row(r.input, net.kind) for r in records])
-        back = net.in_min + (net.normalize_inputs(raw) + 1.0) * (net.in_max - net.in_min) / 2
+        scaled = _scale(raw, net.in_min, net.in_max)
+        back = net.in_min + (scaled + 1.0) * (net.in_max - net.in_min) / 2
         assert np.max(np.abs(back - raw)) <= 1e-12 * np.max(np.abs(raw))
 
 
@@ -299,7 +316,7 @@ class TestGradientCheck:
         # several records, so each record's rows must land in its own block
         for seed in range(3):
             net = random_network(seed=seed, out_dim=out_dim)
-            x = np.random.default_rng(seed + 10).uniform(-1, 1, (6, net.n_inputs))
+            x = np.random.default_rng(seed + 10).uniform(-1, 1, (6, net.w1.shape[1]))
             assert gradient_check_scaled(net, x) <= 1e-6
 
     def test_zero_weight_network(self):
@@ -328,9 +345,9 @@ class TestGradientCheck:
             SystemParams(d=p.d, r_tx=p.r_tx, r_rx=p.r_rx, diff_coeff=p.diff_coeff),
             rec.output, Provenance.TDS)
         x = _params_as_row(p, net.kind)
-        scaled = net.normalize_inputs(x[None, :])
-        y_orig = _forward_scaled(net, scaled)
-        y_flip = _forward_scaled(flipped, -scaled)
+        scaled = _scale(x[None, :], net.in_min, net.in_max)
+        y_orig = _forward_scaled(scaled, net.w1, net.b1, net.w2, net.b2)
+        y_flip = _forward_scaled(-scaled, flipped.w1, flipped.b1, flipped.w2, flipped.b2)
         assert np.array_equal(y_orig, y_flip)
         err_flipped = gradient_check_scaled(flipped, -scaled)
         err_orig = gradient_check_scaled(net, scaled)

@@ -183,9 +183,8 @@ class TestSerialization:
         path = tmp_path / "net.json"
         save_network(net, path)
         back = load_network(path)
-        assert np.array_equal(back.flat_weights(), net.flat_weights())
-        assert np.array_equal(back.in_min, net.in_min)
-        assert np.array_equal(back.out_max, net.out_max)
+        for name in ("w1", "b1", "w2", "b2", "in_min", "in_max", "out_min", "out_max"):
+            assert np.array_equal(getattr(back, name), getattr(net, name))
         assert back.kind is net.kind
 
     def test_network_whose_kind_does_not_fit_its_outputs_refused(self, tmp_path):
@@ -199,6 +198,16 @@ class TestSerialization:
         data["kind"] = "primitive"
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError, match="inconsistent weight shapes"):
+            load_network(path)
+
+    def test_network_with_a_null_weight_refused(self, tmp_path):
+        # read entry by entry: an array conversion would turn null into NaN
+        path = tmp_path / "net.json"
+        save_network(PINNED_NETWORK, path)
+        data = json.loads(path.read_text())
+        data["w1"][0][1] = None
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="malformed network"):
             load_network(path)
 
 
