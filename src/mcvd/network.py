@@ -87,7 +87,8 @@ class TrainReport:
 @dataclass
 class Network:
     """Weights plus the normalization metadata needed to apply them. The kind
-    fixes the input and output sizes; weights of other shapes are refused."""
+    fixes the input and output sizes and w1's rows the hidden size; weights
+    of other shapes are refused."""
 
     kind: ModelKind
     w1: np.ndarray            # (hidden, inputs)
@@ -101,7 +102,7 @@ class Network:
 
     def __post_init__(self) -> None:
         self.kind = ModelKind(self.kind)
-        h, i, o = self.hidden, N_INPUTS[self.kind], len(default_bounds(self.kind))
+        h, i, o = self.w1.shape[0], N_INPUTS[self.kind], len(default_bounds(self.kind))
         shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2,
                                     self.in_min, self.in_max, self.out_min, self.out_max)]
         if shapes != [(h, i), (h,), (o, h), (o,), (i,), (i,), (o,), (o,)]:
@@ -109,14 +110,6 @@ class Network:
                                   f"kind: {shapes}")
         if np.any(self.in_min >= self.in_max) or np.any(self.out_min >= self.out_max):
             raise ValidationError("normalization mins must be strictly below maxes")
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.w2.shape[0]
 
 
 def _params_as_row(p: SystemParams, kind: ModelKind) -> np.ndarray:
@@ -205,7 +198,9 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
     current (alpha, beta), then re-estimates the hyperparameters from the
     evidence approximation. Training stops when an epoch's inner loop no
     longer improves the objective by more than 1e-9 relative, or after
-    MAX_EPOCHS epochs. Fully deterministic for a fixed seed.
+    MAX_EPOCHS epochs. The output Jacobian is built once per weight vector,
+    at the start and after each accepted step, and the re-estimate uses the
+    one at the settled weights. Fully deterministic for a fixed seed.
     """
     if len(dataset) < 10:
         raise ValidationError("training requires at least 10 records")
@@ -241,6 +236,8 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
         return r, float(r @ r), 0.5 * float(wv @ wv)
 
     resid, e_d, e_w = evaluate(w)
+    # the output Jacobian at w, built again only when a step moves w
+    jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
     alpha, beta = 0.0, 1.0
     gamma = float(k)
     lam = 1e-3
@@ -254,7 +251,6 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
         # inner damped Gauss-Newton loop at fixed (alpha, beta)
         for _ in range(INNER_MAX_STEPS):
             f_cur = beta * e_d + alpha * e_w
-            jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
             jtj = jac.T @ jac
             grad = 2.0 * beta * (jac.T @ resid) + alpha * w
             if np.max(np.abs(grad)) < 1e-12:
@@ -271,6 +267,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
                 if np.isfinite(f_new) and f_new < f_cur:
                     w = w + delta
                     resid, e_d, e_w = r_new, e_d_new, e_w_new
+                    jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
                     lam = max(lam / 10.0, LAMBDA_MIN)
                     stepped = True
                     break
@@ -281,8 +278,7 @@ def train(dataset: list[CaseRecord], hidden: int = DEFAULT_HIDDEN,
             if (f_cur - (beta * e_d + alpha * e_w)) <= 1e-12 * max(f_cur, 1e-300):
                 break
         f_after_inner = beta * e_d + alpha * e_w
-        # evidence re-estimation at the settled weights
-        jac = _output_jacobian(x, *_layers(w, n_in, out_dim))
+        # evidence re-estimation at the settled weights, where jac was built
         hess = 2.0 * beta * (jac.T @ jac) + alpha * eye
         if alpha == 0.0:
             gamma = float(k)

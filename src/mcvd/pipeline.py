@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +68,6 @@ __all__ = [
 FORMAT_VERSION = 1
 NETWORK_FORMAT_VERSION = 2
 
-TDS_DISTANCES = (2.0, 4.0, 6.0, 8.0, 10.0)
-VDS_DISTANCES = (3.0, 5.0, 7.0, 9.0, 11.0)
-TDS_TX_RADII = (5.0, 7.5, 10.0)
-VDS_TX_RADII = (4.0, 6.0, 8.0)
-TDS_DIFF_COEFFS = (50.0, 75.0, 100.0)
-VDS_DIFF_COEFFS = (60.0, 70.0, 80.0)
-TDS_RX_RADII = (5.0, 7.5, 10.0)
-VDS_RX_RADII = (4.0, 6.0, 8.0)
-
 
 def _fmt(x: float) -> str:
     """17 significant digits: lossless for IEEE doubles."""
@@ -108,10 +99,10 @@ class ParameterGrid:
 
 def study_grids() -> tuple[ParameterGrid, ParameterGrid]:
     """The training and validation parameter grids (135 cases each)."""
-    tds = ParameterGrid(TDS_DISTANCES, TDS_TX_RADII, TDS_DIFF_COEFFS,
-                        TDS_RX_RADII, Provenance.TDS)
-    vds = ParameterGrid(VDS_DISTANCES, VDS_TX_RADII, VDS_DIFF_COEFFS,
-                        VDS_RX_RADII, Provenance.VDS)
+    tds = ParameterGrid((2.0, 4.0, 6.0, 8.0, 10.0), (5.0, 7.5, 10.0), (50.0, 75.0, 100.0),
+                        (5.0, 7.5, 10.0), Provenance.TDS)
+    vds = ParameterGrid((3.0, 5.0, 7.0, 9.0, 11.0), (4.0, 6.0, 8.0), (60.0, 70.0, 80.0),
+                        (4.0, 6.0, 8.0), Provenance.VDS)
     return tds, vds
 
 
@@ -240,15 +231,14 @@ def read_records_csv(path: Path, provenance: Provenance) -> list[CaseRecord]:
 
 
 # the arrays of a network document, in the order it lists them after the
-# kind and the sizes: matrices as lists of rows, vectors as lists
+# kind: matrices as lists of rows, vectors as lists; the layer sizes are
+# their shapes
 _NETWORK_ARRAYS = ("w1", "b1", "w2", "b2", "in_min", "in_max", "out_min", "out_max")
 
 
 def save_network(net: Network, path: Path) -> None:
     _write_json(path, NETWORK_FORMAT_VERSION, {
         "kind": net.kind.value,
-        "hidden": net.hidden,
-        "out_dim": net.out_dim,
         **{name: [[_fmt(v) for v in row] if np.ndim(row) else _fmt(row)
                   for row in getattr(net, name)] for name in _NETWORK_ARRAYS},
     })
@@ -476,22 +466,18 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
 
 def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
                out_dir: Path) -> tuple[Network, TrainReport]:
-    """Train a network on phase-1 records and persist it with its report."""
-    if not tds:
-        raise ValidationError("phase 2 requires a nonempty training dataset")
+    """Train a network on phase-1 records and persist it with its report,
+    which holds the report's fields in order, each float with ``_fmt``.
+    ``train`` refuses fewer than 10 records before any file is written."""
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     manifest = _load_or_create_manifest(out_dir, {})
     out_dir.mkdir(parents=True, exist_ok=True)
     net, report = train(tds, hidden=hidden, seed=seed)
     save_network(net, out_dir / f"network_{net.kind.value}.json")
-    _write_json(out_dir / f"train_report_{net.kind.value}.json", FORMAT_VERSION, {
-        "epochs": report.epochs,
-        "e_d": _fmt(report.e_d), "e_w": _fmt(report.e_w),
-        "alpha": _fmt(report.alpha), "beta": _fmt(report.beta),
-        "gamma": _fmt(report.gamma),
-        "degenerate_targets": report.degenerate_targets,
-    })
+    _write_json(out_dir / f"train_report_{net.kind.value}.json", FORMAT_VERSION,
+                {name: _fmt(v) if isinstance(v, float) else v
+                 for name, v in asdict(report).items()})
     manifest.add_stage(f"phase2:{net.kind.value}", time.perf_counter() - t0)
     manifest.save(out_dir)
     return net, report

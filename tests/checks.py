@@ -68,7 +68,7 @@ def gradient_check_scaled(net, x_scaled: np.ndarray) -> float:
     """``gradient_check`` at inputs already normalized to the network's range."""
     analytic = _output_jacobian(x_scaled, net.w1, net.b1, net.w2, net.b2)
     w0 = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])
-    n_in, out = net.w1.shape[1], net.out_dim
+    n_in, out = net.w1.shape[1], net.w2.shape[0]
     numeric = np.empty_like(analytic)
     h = 1e-6
     for i in range(w0.size):

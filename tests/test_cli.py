@@ -19,7 +19,7 @@ from mcvd.cli import (
     build_parser,
     main,
 )
-from mcvd.types import NumericError
+from mcvd.types import NumericError, ValidationError
 
 
 def run_cli(*args):
@@ -257,6 +257,23 @@ class TestPipelineFailures:
             assert len(failures) == per_case * len(cases)
             assert f"error: {len(cases)} failed cases" in capsys.readouterr().err
             assert (out / "evaluation" / "rmse_groups.csv").exists()
+
+    def test_every_training_fit_failed_exit_1(self, tmp_path, monkeypatch, capsys):
+        # with no training record, training's 10-record rule stops the run
+        # after phase 1 has recorded its failures and before anything of
+        # phase 2 is written
+        def failing(problem):
+            raise ValidationError("too few hits to fit")
+
+        monkeypatch.setattr(mcvd.pipeline, "fit", failing)
+        code = run_cli("pipeline", "--out", str(tmp_path), *self.SMALL_RUN)
+        assert code == EXIT_VALIDATION
+        assert "error: training requires at least 10 records" in capsys.readouterr().err
+        failures = json.loads((tmp_path / "manifest.json").read_text())["failures"]
+        assert {f["stage"] for f in failures} == {"phase1:TDS"}
+        assert len(failures) == mcvd.pipeline.reduced_grids()[0].case_count()
+        assert not list(tmp_path.glob("network_*.json"))
+        assert not list(tmp_path.glob("train_report_*.json"))
 
     @pytest.mark.parametrize("stage_fn", ["fit", "simulate_case"])
     def test_numeric_case_failure_exit_3(self, tmp_path, monkeypatch, stage_fn):

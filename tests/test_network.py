@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mcvd.network
 from mcvd import (
     CaseRecord,
     ModelKind,
@@ -287,6 +288,20 @@ class TestTrain:
                                     Provenance.TDS)]
         with pytest.raises(ValidationError):
             train(mixed)
+
+    def test_jacobian_built_once_per_weight_vector(self, monkeypatch):
+        # the Jacobian depends on the weights alone, so a second call at the
+        # weights of the call before would repeat the work
+        real, weights = mcvd.network._output_jacobian, []
+
+        def recording(x_scaled, *layers):
+            weights.append(np.concatenate([a.ravel() for a in layers]))
+            return real(x_scaled, *layers)
+
+        monkeypatch.setattr(mcvd.network, "_output_jacobian", recording)
+        train(small_fittable_dataset(), hidden=4, seed=1)
+        assert len(weights) > 1
+        assert not any(np.array_equal(a, b) for a, b in zip(weights, weights[1:]))
 
     def test_gamma_within_weight_count(self):
         net, report = train(small_fittable_dataset(), hidden=6, seed=8)

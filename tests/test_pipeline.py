@@ -133,7 +133,7 @@ class TestSerialization:
         (_written(write_groups_csv, PINNED_GROUPS),
          "ca5109784fc3baf971dcf9791adc404c09a17cc6bcbe94d15014f0dc66203202"),
         (_written(save_network, PINNED_NETWORK),
-         "0cbcdf76438aea31c0729e7edfee0c1eb8086846c1c9c523955c39cb540e3458"),
+         "13e73cec5805208867696e26f30096c01a45a5a554f4a0e5e129620f190a900d"),
     ], ids=["signal", "export_signal", "records", "groups", "network"])
     def test_artifact_bytes_pinned(self, tmp_path, write, digest):
         path = write(tmp_path / "artifact")
@@ -186,6 +186,24 @@ class TestSerialization:
         for name in ("w1", "b1", "w2", "b2", "in_min", "in_max", "out_min", "out_max"):
             assert np.array_equal(getattr(back, name), getattr(net, name))
         assert back.kind is net.kind
+
+    def test_network_listing_its_layer_sizes_still_loads(self, tmp_path):
+        # earlier writers of format 2 put "hidden" and "out_dim" after the
+        # kind; the sizes are the arrays' shapes, so a reader ignores them
+        path = tmp_path / "net.json"
+        save_network(PINNED_NETWORK, path)
+        data = json.loads(path.read_text())
+        assert list(data) == ["format_version", "kind", "w1", "b1", "w2", "b2",
+                              "in_min", "in_max", "out_min", "out_max"]
+        path.write_text(json.dumps({"format_version": 2, "kind": "enhanced", "hidden": 2,
+                                    "out_dim": 3, **data}, indent=1) + "\n")
+        # the bytes such a writer gave PINNED_NETWORK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "0cbcdf76438aea31c0729e7edfee0c1eb8086846c1c9c523955c39cb540e3458"
+        back = load_network(path)
+        assert back.kind is PINNED_NETWORK.kind
+        for name in ("w1", "b1", "w2", "b2", "in_min", "in_max", "out_min", "out_max"):
+            assert np.array_equal(getattr(back, name), getattr(PINNED_NETWORK, name))
 
     def test_network_whose_kind_does_not_fit_its_outputs_refused(self, tmp_path):
         net = Network(ModelKind.ENHANCED, w1=np.zeros((2, 3)), b1=np.zeros(2),
@@ -485,7 +503,7 @@ class TestPhase2:
                               Provenance.TDS)
                    for r in small_fittable_dataset()]
         net, _ = run_phase2(records, hidden=4, seed=1, out_dir=tmp_path)
-        assert net.out_dim == 1
+        assert net.w2.shape[0] == 1
         assert (tmp_path / "network_primitive.json").exists()
         payload = json.loads((tmp_path / "train_report_primitive.json").read_text())
         assert payload["epochs"] >= 1
