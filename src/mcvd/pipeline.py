@@ -468,12 +468,12 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
                out_dir: Path) -> tuple[Network, TrainReport]:
     """Train a network on phase-1 records and persist it with its report,
     which holds the report's fields in order, each float with ``_fmt``.
-    ``train`` refuses fewer than 10 records before any file is written."""
+    ``train`` refuses fewer than 10 records before anything is created."""
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
+    net, report = train(tds, hidden=hidden, seed=seed)
     manifest = _load_or_create_manifest(out_dir, {})
     out_dir.mkdir(parents=True, exist_ok=True)
-    net, report = train(tds, hidden=hidden, seed=seed)
     save_network(net, out_dir / f"network_{net.kind.value}.json")
     _write_json(out_dir / f"train_report_{net.kind.value}.json", FORMAT_VERSION,
                 {name: _fmt(v) if isinstance(v, float) else v

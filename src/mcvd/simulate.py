@@ -69,7 +69,11 @@ molecule in flight: x, y, z, the gap sqrt(x^2 + y^2 + z^2) - r_rx to the
 receiver, the squared distance to the transmitter's centre, and the clock.
 The two distances are computed once per position, when a molecule is
 released or moves; a rejected move keeps the molecule's old column, and the
-molecules that leave are dropped from the array together.
+molecules that leave are dropped from the array together. A round's boolean
+masks are written into the first n columns of one (4, n_molecules) array
+made per replication, so no round allocates a mask; masks made afresh each
+round would leave numpy's cache of small freed blocks holding about 2 MB
+more in a process that runs many kernels.
 """
 from __future__ import annotations
 
@@ -208,6 +212,7 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
 
     state = np.zeros((6, n))
     state[:5] = with_geometry(np.array([[p.r_rx + p.d], [0.0], [0.0]]))
+    masks = np.empty((4, n), dtype=bool)
     hit_ends = []
     # a uniform of exactly 0 has log -inf, which passes the bridge test
     with np.errstate(divide="ignore"):
@@ -215,8 +220,9 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
             g = normal_rng.standard_normal((3, n))
             u = uniform_rng.random(n)
             gap, tx2, clock = state[3:]
+            close, absorbed, inside, done = masks[:, :n]
             rho = np.minimum(gap, np.sqrt(tx2) - p.r_tx)
-            far = rho > near
+            np.less_equal(rho, near, out=close)
             # both moves are pos + g * scale: a far molecule's g, normalized,
             # points to its jump target on the ball of radius rho; a near
             # molecule steps to the next point of the substep grid, var being
@@ -226,20 +232,22 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
             gg = g[0] * g[0]
             gg += g[1] * g[1]
             gg += g[2] * g[2]
-            g *= np.where(far, rho / np.sqrt(gg), np.sqrt(2.0 * var))
+            g *= np.where(close, np.sqrt(2.0 * var), rho / np.sqrt(gg))
             g += state[:3]
             moved = with_geometry(g)
             # a near step to gap1 = moved[3] is absorbed by the bridge test
             # u < exp(-gap gap1 / var), taken as log(u) < -gap gap1 / var, which
             # a step ending inside the receiver passes (its right side is >= 0)
-            absorbed = np.log(u) < -(gap * moved[3]) / var
-            absorbed &= ~far
+            np.less(np.log(u), -(gap * moved[3]) / var, out=absorbed)
+            absorbed &= close
             hit_ends.append(t1.compress(absorbed))
-            state[5] = np.where(far, clock + _exit_times(u) * (rho * rho / d_dt), t1)
-            state[:5] = np.where(moved[4] <= tx_r2, state[:5], moved)
-            done = absorbed | (state[5] >= n_steps)
+            state[5] = np.where(close, t1, clock + _exit_times(u) * (rho * rho / d_dt))
+            np.less_equal(moved[4], tx_r2, out=inside)
+            state[:5] = np.where(inside, state[:5], moved)
+            np.greater_equal(state[5], n_steps, out=done)
+            done |= absorbed
             if np.count_nonzero(done):
-                state = state.compress(~done, axis=1)
+                state = state.compress(np.logical_not(done, out=done), axis=1)
                 n = state.shape[1]
     # a hit in the step ending at grid point t1 falls in bin (t1 - 1) // substep_factor
     ends = np.concatenate(hit_ends).astype(np.int64)

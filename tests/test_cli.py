@@ -374,6 +374,16 @@ class TestInvalidArguments:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() or _tree(out) == {}
 
+    def test_train_on_fewer_than_10_records_creates_nothing(self, tmp_path, capsys):
+        rows = "".join(f"{d},5,5,50,primitive,1.1,,\n" for d in range(1, 6))
+        path = tmp_path / "records.csv"
+        path.write_text("d_um,rtx_um,rrx_um,D_um2s,kind,b1,b2,b3\n" + rows)
+        out = tmp_path / "newdir"
+        assert run_cli("train", "--records", str(path), "--model", "primitive",
+                       "--out", str(out)) == EXIT_VALIDATION
+        assert "at least 10 records" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "train", "simulate", "pipeline"])
     def test_path_of_the_wrong_kind_exit_1(self, tmp_path, capsys, command):
         # a directory where a file is read or written, a file where a run

@@ -1,8 +1,12 @@
 import concurrent.futures
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +334,41 @@ class TestFrozenSignals:
         p, cfg = FROZEN_CASES["all_absorbed"]
         v = simulate_case(p, cfg).cumulative_fraction
         assert v[-2] == 1.0
+
+
+# Runs the reduced grid's 72 cases in order, one replication each, and prints
+# how far VmRSS grew, in MB, after the first case.
+RSS_GROWTH_SCRIPT = r"""
+import re
+from dataclasses import replace
+from mcvd.pipeline import reduced_grids
+from mcvd.simulate import SimConfig, case_seed, simulate_case
+def rss():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmRSS:\s+(\d+) kB", f.read()).group(1)) / 1024
+cfg = SimConfig(n_molecules=1000, n_replications=1, seed=1)
+first, *rest = [p for grid in reduced_grids() for p in grid.cases()]
+simulate_case(first, replace(cfg, seed=case_seed(cfg.seed, first)))
+before = rss()
+for p in rest:
+    simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
+print(rss() - before)
+"""
+
+
+class TestKernelMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmRSS")
+    def test_many_kernels_hold_no_mask_blocks(self):
+        # every boolean mask of a round is a row of one array per replication,
+        # so the rounds leave numpy no small freed blocks of every size to
+        # keep: these cases grow VmRSS by about 0.6 MB, and by about 2.2 MB
+        # when each round allocates its masks
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1.2
 
 
 class TestSimulateBatch:
