@@ -34,11 +34,11 @@ METHODS = ("point_formula", "primitive_fit", "enhanced_fit",
            "primitive_ann", "enhanced_ann")
 
 
-def rmse(signal_a: ReceivedSignal, signal_b: ReceivedSignal, n_emitted: int) -> float:
+def rmse(signal_a: ReceivedSignal, signal_b: ReceivedSignal, n_molecules: int) -> float:
     """Root mean squared deviation in molecule counts over the shared grid."""
     if signal_a.grid != signal_b.grid:
         raise ValidationError("rmse requires signals on identical grids")
-    diff = n_emitted * (signal_a.cumulative_fraction - signal_b.cumulative_fraction)
+    diff = n_molecules * (signal_a.cumulative_fraction - signal_b.cumulative_fraction)
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -60,19 +60,19 @@ def _records_by_case(records: list[CaseRecord]) -> dict[SystemParams, dict[Model
 def evaluate_vds(vds_sims: list[tuple[SystemParams, ReceivedSignal]],
                  fit_records: list[CaseRecord],
                  ann_records: list[CaseRecord],
-                 n_emitted: int) -> list[RmseGroup]:
+                 n_molecules: int) -> list[RmseGroup]:
     """Per-case RMSE of every available method against simulation, averaged
     into (d, r_rx) groups.
 
     RMSE is reported in molecules per emission (fraction error times the
-    ``n_emitted`` molecules of one emission). Cases missing from either
+    ``n_molecules`` molecules of one emission). Cases missing from either
     record set are enumerated in one error.
     """
     tables = {"fit": _records_by_case(fit_records), "ann": _records_by_case(ann_records)}
     per_case: dict[SystemParams, dict[str, float]] = {}
     missing: list[str] = []
     for p, sim in vds_sims:
-        row = {"point_formula": rmse(sim, sample_point_formula(p, sim.grid), n_emitted)}
+        row = {"point_formula": rmse(sim, sample_point_formula(p, sim.grid), n_molecules)}
         for label, table in tables.items():
             models = table.get(p, {})
             if table and not models:
@@ -80,7 +80,7 @@ def evaluate_vds(vds_sims: list[tuple[SystemParams, ReceivedSignal]],
             for kind in ModelKind:
                 if kind in models:
                     curve = sample_model(p, models[kind], sim.grid)
-                    row[f"{kind.value}_{label}"] = rmse(sim, curve, n_emitted)
+                    row[f"{kind.value}_{label}"] = rmse(sim, curve, n_molecules)
         per_case[p] = row
     if missing:
         raise MissingArtifactError("; ".join(missing))
@@ -110,14 +110,13 @@ def write_groups_csv(groups: list[RmseGroup], path: Path) -> None:
 
 def export_curves(p: SystemParams, sim: ReceivedSignal,
                   models: dict[str, ModelParams], out_dir: Path,
-                  n_emitted: int) -> list[Path]:
+                  n_molecules: int) -> list[Path]:
     """Write per-method signal and SIR CSVs plus combined SVG charts for one
     case. SIR files come in two variants: each curve against its own final
     value, and against the simulation's final value. Output is byte-stable:
     re-exporting produces identical files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     times = sim.grid.times()
     curves: dict[str, ReceivedSignal] = {"simulation": sim}
     curves["point_formula"] = sample_point_formula(p, sim.grid)
@@ -137,7 +136,7 @@ def export_curves(p: SystemParams, sim: ReceivedSignal,
             path = out_dir / f"{stem}_{name}.csv"
             _write_series(path, column, times, values)
             written.append(path)
-        signal_series.append((name, times, n_emitted * sig.cumulative_fraction))
+        signal_series.append((name, times, n_molecules * sig.cumulative_fraction))
         sir_own_series.append((name, times, sir_own))
         sir_vs_sim_series.append((name, times, sir_ref))
 

@@ -87,7 +87,6 @@ def _case(args) -> SystemParams:
 def _cmd_simulate(args) -> int:
     sig = simulate_case(_case(args), _sim_config(args))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_signal_csv(sig, out)
     print(f"simulated {args.molecules}x{args.replications} molecules; "
           f"final fraction {sig.final_fraction:.6f} -> {out}")
@@ -158,7 +157,6 @@ def _evaluate(run_dir: Path, cfg: SimConfig, out: Path) -> list:
     sims = [(p, read_signal_csv(signal_path(run_dir, p, cfg)))
             for p in dict.fromkeys(r.input for r in fits)]
     groups = analysis.evaluate_vds(sims, fits, anns, cfg.n_molecules)
-    out.parent.mkdir(parents=True, exist_ok=True)
     analysis.write_groups_csv(groups, out)
     return groups
 

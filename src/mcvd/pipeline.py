@@ -10,11 +10,12 @@ whose enhanced kind learns in similarity coordinates since version 2, and
 `FORMAT_VERSION` for the rest.
 All floats are serialized with 17 significant digits so artifacts round-trip
 bit-exactly; files are committed atomically (write temp, rename; a failed
-write deletes its temp file). Phase 1 writes each case's signal as the case
-finishes in grid order, so an interrupt loses only the cases in flight and
-the stage's records; a rerun recognizes every signal on disk by a content
-hash of its parameters, the configuration and the simulator version, and
-reads it instead of simulating again. Fits are not persisted per case; a
+write deletes its temp file), and a write creates its file's missing
+directories, so no caller makes one. Phase 1 writes each case's signal as
+the case finishes in grid order, so an interrupt loses only the cases in
+flight and the stage's records; a rerun recognizes every signal on disk by
+a content hash of its parameters, the configuration and the simulator
+version, and reads it instead of simulating again. Fits are not persisted per case; a
 rerun fits every case again, which is deterministic.
 """
 from __future__ import annotations
@@ -123,6 +124,7 @@ def reduced_grids() -> tuple[ParameterGrid, ParameterGrid]:
 
 def _atomic_write(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_text(data, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
@@ -262,13 +264,8 @@ def load_network(path: Path) -> Network:
 def case_key(p: SystemParams, cfg: SimConfig) -> str:
     """Content hash identifying one simulated case under one configuration
     and one simulator version."""
-    key = "|".join([
-        f"sim{SIM_VERSION}",
-        _fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx), _fmt(p.diff_coeff),
-        str(cfg.n_molecules), str(cfg.n_replications),
-        _fmt(cfg.grid.dt), _fmt(cfg.grid.t_end), str(cfg.substep_factor),
-        str(cfg.seed),
-    ])
+    key = "|".join([f"sim{SIM_VERSION}", _fmt(p.d), _fmt(p.r_tx), _fmt(p.r_rx),
+                    _fmt(p.diff_coeff), *map(str, _sim_config_dict(cfg).values())])
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -324,8 +321,12 @@ class RunManifest:
         for name, kind in fields.items():
             if not isinstance(data.get(name), kind):
                 raise ValidationError(f"manifest {path} lacks a {kind.__name__} {name!r}")
-        if not all(isinstance(f, dict) for f in data["failures"]):
-            raise ValidationError(f"manifest {path} lists a failure that is not an object")
+        for f in data["failures"]:
+            if not (isinstance(f, dict) and isinstance(f.get("stage"), str)
+                    and isinstance(f.get("case"), list)
+                    and all(isinstance(cell, str) for cell in f["case"])):
+                raise ValidationError(f"manifest {path} lists a failure {f!r} that lacks "
+                                      "a 'stage' string or a 'case' list of strings")
         return RunManifest(**{name: data[name] for name in fields})
 
 
@@ -335,21 +336,25 @@ def _sim_config_dict(cfg: SimConfig) -> dict:
         "n_replications": cfg.n_replications,
         "dt": _fmt(cfg.grid.dt),
         "t_end": _fmt(cfg.grid.t_end),
-        "seed": cfg.seed,
         "substep_factor": cfg.substep_factor,
+        "seed": cfg.seed,
     }
 
 
 def run_config(run_dir: Path) -> SimConfig:
-    """The simulation configuration recorded in a run directory's manifest."""
+    """The simulation configuration recorded in a run directory's manifest,
+    which must be the record ``run_phase1`` writes for it."""
     sc = RunManifest.load(run_dir).sim_config
     try:
-        return SimConfig(n_molecules=int(sc["n_molecules"]),
-                         n_replications=int(sc["n_replications"]),
-                         grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
-                         seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
+        cfg = SimConfig(n_molecules=int(sc["n_molecules"]),
+                        n_replications=int(sc["n_replications"]),
+                        grid=TimeGrid(float(sc["dt"]), float(sc["t_end"])),
+                        seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
+    if _sim_config_dict(cfg) != sc:
+        raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {sc}")
+    return cfg
 
 
 def _load_or_create_manifest(out_dir: Path, sim_config: dict) -> RunManifest:
@@ -373,12 +378,13 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     simulator version) is read instead of simulated; every case is fitted
     again, so a resumed run reuses the simulations and rewrites the records.
 
-    With ``n_workers > 1`` up to that many threads read or simulate the
-    cases. The kernels run in one pool of ``min(n_workers, fresh cases)``
-    worker processes, opened for this call and started before any thread,
-    so no process forks while threads run. This thread takes the cases in
-    grid order: it writes each fresh signal as soon as its case is done,
-    then fits the case. A case that fails does not stop the rest of the
+    With ``n_workers > 1`` and at least one case to simulate, up to that
+    many threads read or simulate the cases, and the kernels run in one pool
+    of ``min(n_workers, fresh cases)`` worker processes, opened for this call
+    and started before any thread, so no process forks while threads run.
+    A grid read back whole opens neither. The calling thread takes the
+    cases in grid order: it writes each fresh signal as soon as its case is
+    done, then fits the case. A case that fails does not stop the rest of the
     grid: the manifest's failures record it under the stage
     ``phase1:<label>``, once per kind whose fit failed or once if its signal
     did, replacing the stage's entries from an earlier run. A worker that
@@ -403,21 +409,18 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
         raise ValidationError(f"{out_dir} holds a run under another simulation "
                               f"configuration: {manifest.sim_config}")
     manifest.sim_config = sim_config
-    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
-    manifest.failures = [f for f in manifest.failures if f.get("stage") != stage]
+    manifest.failures = [f for f in manifest.failures if f["stage"] != stage]
     cases = grid.cases()
     paths = [signal_path(out_dir, p, cfg) for p in cases]
     fresh = [not path.exists() for path in paths]
     simulated = resumed = 0
 
     with ExitStack() as stack:
-        pool = None
+        pool, dispatch = None, map
         if n_workers > 1 and any(fresh):
             pool = stack.enter_context(process_pool(min(n_workers, sum(fresh))))
             # with fork, the first task starts every worker process
             pool.submit(int).result()
-        dispatch = map
-        if n_workers > 1 and len(cases) > 1:
             threads = ThreadPoolExecutor(max_workers=min(n_workers, len(cases)))
             # leaving the loop early cancels the cases no thread has started
             stack.callback(threads.shutdown, cancel_futures=True)
@@ -459,7 +462,7 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
         write_records_csv(recs, out_dir / f"records_{grid.label.value.lower()}_{kind.value}.csv")
     manifest.add_stage(stage, time.perf_counter() - t0, simulated=simulated, resumed=resumed,
                        failed=len({tuple(f["case"]) for f in manifest.failures
-                                   if f.get("stage") == stage}))
+                                   if f["stage"] == stage}))
     manifest.save(out_dir)
     return [r for recs in records.values() for r in recs]
 
@@ -473,7 +476,6 @@ def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,
     out_dir = Path(out_dir)
     net, report = train(tds, hidden=hidden, seed=seed)
     manifest = _load_or_create_manifest(out_dir, {})
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_network(net, out_dir / f"network_{net.kind.value}.json")
     _write_json(out_dir / f"train_report_{net.kind.value}.json", FORMAT_VERSION,
                 {name: _fmt(v) if isinstance(v, float) else v

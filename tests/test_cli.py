@@ -116,6 +116,16 @@ class TestFitCommand:
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0].startswith("d_um,")
 
+    def test_out_into_a_new_directory(self, tmp_path):
+        sig_path = tmp_path / "sig.csv"
+        assert run_cli("simulate", "--d", "4", "--rrx", "5", "--D", "100",
+                       "--molecules", "200", "--replications", "1",
+                       "--dt", "0.005", "--t-end", "0.2", "--out", str(sig_path)) == EXIT_OK
+        out = tmp_path / "new" / "rec.csv"
+        assert run_cli("fit", "--signal", str(sig_path), "--d", "4", "--rrx", "5",
+                       "--D", "100", "--out", str(out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2
+
     def test_missing_signal_exit_2(self, tmp_path):
         code = run_cli("fit", "--signal", str(tmp_path / "none.csv"),
                        "--d", "3", "--rrx", "6", "--D", "90")
@@ -165,6 +175,12 @@ class TestPipelineArtifacts:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 2
 
+    def test_predict_into_a_new_directory(self, pipeline_run, tmp_path):
+        out = tmp_path / "new" / "p.csv"
+        assert run_cli("predict", "--network", str(pipeline_run / "network_enhanced.json"),
+                       "--grid", "vds", "--out", str(out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 135
+
     def test_network_of_the_old_format_refused(self, pipeline_run, tmp_path):
         # format 1 held an enhanced network trained on (d, r_tx, r_rx, D)
         # against (b1, b2, b3); its weights mean something else now
@@ -208,6 +224,35 @@ class TestPipelineArtifacts:
                 assert _tree(run) == other_format
         manifest.write_bytes(before["manifest.json"])
         assert run_cli(*args) == EXIT_OK
+
+    @pytest.mark.parametrize("field, value", [("n_molecules", 150.7), ("n_molecules", "150"),
+                                              ("dt", "0.0050"), ("seed", None)])
+    def test_sim_config_that_does_not_round_trip_refused(self, pipeline_run, tmp_path,
+                                                          field, value):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        if value is None:
+            del manifest["sim_config"][field]
+        else:
+            manifest["sim_config"][field] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        before = _tree(run)
+        case = ("--d", "7", "--rtx", "4", "--rrx", "8", "--D", "70")
+        assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION
+        assert run_cli("export", "--run", str(run), *case) == EXIT_VALIDATION
+        assert run_cli("pipeline", "--out", str(run), *PIPELINE_RUN) == EXIT_VALIDATION
+        assert _tree(run) == before
+
+    def test_sim_config_in_another_key_order_still_read(self, pipeline_run, tmp_path):
+        # manifests once listed the seed before substep_factor
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["sim_config"] = dict(reversed(manifest["sim_config"].items()))
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("evaluate", "--run", str(run)) == EXIT_OK
+        assert run_cli("pipeline", "--out", str(run), *PIPELINE_RUN) == EXIT_OK
 
     def test_export_lists_its_files_in_the_manifest(self, pipeline_run, tmp_path):
         run = tmp_path / "run"
@@ -546,3 +591,20 @@ class TestCorruptedArtifacts:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("pipeline", "--out", str(tmp_path), *TestPipelineFailures.SMALL_RUN) \
             == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("failure", [{"stage": "foo"}, {"case": ["4", "0", "5", "100"]},
+                                         {"stage": 1, "case": ["4", "0", "5", "100"]},
+                                         {"stage": "foo", "case": "4,0,5,100"},
+                                         {"stage": "foo", "case": [["4"]]}])
+    def test_manifest_failure_without_stage_or_case(self, pipeline_run, tmp_path, capsys,
+                                                    failure):
+        # the pipeline reads the failures of another stage only after the
+        # whole run, to report them
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["failures"] = [failure]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("pipeline", "--out", str(run), *PIPELINE_RUN) == EXIT_VALIDATION
+        assert "lists a failure" in capsys.readouterr().err
+        assert run_cli("evaluate", "--run", str(run)) == EXIT_VALIDATION

@@ -109,7 +109,7 @@ PINNED_NETWORK = Network(
 
 def _export_simulation_signal(path):
     export_curves(SystemParams(d=3, r_tx=0, r_rx=5, diff_coeff=80), PINNED_SIGNAL, {},
-                  path, n_emitted=1000)
+                  path, n_molecules=1000)
     return path / "signal_simulation.csv"
 
 
@@ -538,3 +538,15 @@ class TestCaseSeed:
         assert case_seed(0, p1) == case_seed(0, SystemParams(d=2, r_tx=0, r_rx=5,
                                                              diff_coeff=100))
         assert case_seed(0, p1) != case_seed(1, p1)
+
+
+class TestCaseKey:
+    # a changed key would make every resumed run simulate its grid again
+    @pytest.mark.parametrize("p, cfg, key", [
+        (SystemParams(d=7, r_tx=4, r_rx=8, diff_coeff=70),
+         SimConfig(1000, 1, TimeGrid(1e-3, 1.0), seed=1, substep_factor=1), "e4fb041ff7a91e7d"),
+        (SystemParams(d=4, r_tx=0, r_rx=5, diff_coeff=100),
+         SimConfig(300, 3, TimeGrid(5e-3, 0.2), seed=7, substep_factor=3), "5fe9b69c5dcd9ef0"),
+    ])
+    def test_keys_pinned(self, p, cfg, key):
+        assert case_key(p, cfg) == key
