@@ -25,7 +25,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -34,7 +34,14 @@ import numpy as np
 
 from .fitting import FitProblem, fit
 from .network import CaseRecord, Network, TrainReport, forward, train
-from .simulate import SIM_VERSION, SimConfig, case_seed, process_pool, simulate_case
+from .simulate import (
+    SIM_VERSION,
+    SimConfig,
+    case_seed,
+    process_pool,
+    simulate_case,
+    simulate_cases,
+)
 from .types import (
     MissingArtifactError,
     ModelKind,
@@ -378,20 +385,26 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     simulator version) is read instead of simulated; every case is fitted
     again, so a resumed run reuses the simulations and rewrites the records.
 
-    With ``n_workers > 1`` and at least one case to simulate, up to that
-    many threads read or simulate the cases, and the kernels run in one pool
-    of ``min(n_workers, fresh cases)`` worker processes, opened for this call
+    With one worker, every replication of every fresh case is a task of
+    one kernel batch in the calling thread (``simulate_cases``), in grid
+    order. With ``n_workers > 1`` and at least one case to simulate, up to
+    that many threads read or simulate the cases, one pool task per
+    replication, and the kernels run in one pool of
+    ``min(n_workers, fresh cases)`` worker processes, opened for this call
     and started before any thread, so no process forks while threads run.
     A grid read back whole opens neither. The calling thread takes the
     cases in grid order: it writes each fresh signal as soon as its case is
-    done, then fits the case. A case that fails does not stop the rest of the
-    grid: the manifest's failures record it under the stage
-    ``phase1:<label>``, once per kind whose fit failed or once if its signal
-    did, replacing the stage's entries from an earlier run. A worker that
-    dies breaks the pool, so every case not yet finished fails. An exception
-    that leaves the loop, such as an interrupt, cancels the cases not yet
-    started and writes no records or manifest. Either way a rerun in the
-    same directory reads the signals on disk and simulates only the rest.
+    done, then fits the case, and reads each resumed case from disk in
+    between. A case that fails does not stop the rest of the grid: the
+    manifest's failures record it under the stage ``phase1:<label>``, once
+    per kind whose fit failed or once if its signal did, replacing the
+    stage's entries from an earlier run. A worker that dies breaks the
+    pool, and an exception raised in the one-worker batch ends the batch;
+    in both cases every case not yet done fails, and the signals already
+    written stay. An exception that leaves the loop, such as an interrupt,
+    cancels the cases not yet started and writes no records or manifest.
+    Either way a rerun in the same directory reads the signals on disk and
+    simulates only the rest.
     The manifest records the stage's duration and case counts. A run
     directory holds one simulation configuration: a manifest that records
     another is refused before anything is written.
@@ -415,6 +428,9 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     fresh = [not path.exists() for path in paths]
     simulated = resumed = 0
 
+    def seeded(p: SystemParams) -> SimConfig:
+        return replace(cfg, seed=case_seed(cfg.seed, p))
+
     with ExitStack() as stack:
         pool, dispatch = None, map
         if n_workers > 1 and any(fresh):
@@ -425,13 +441,17 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
             # leaving the loop early cancels the cases no thread has started
             stack.callback(threads.shutdown, cancel_futures=True)
             dispatch = threads.map
+        else:
+            batch = _in_process(simulate_cases([(p, seeded(p)) for p, is_new
+                                                in zip(cases, fresh) if is_new]))
 
         def load_or_simulate(i: int) -> ReceivedSignal | Exception:
             try:
                 if not fresh[i]:
                     return read_signal_csv(paths[i])
-                return simulate_case(cases[i], replace(cfg, seed=case_seed(cfg.seed, cases[i])),
-                                     pool=pool)
+                if pool is None:
+                    return next(batch)
+                return simulate_case(cases[i], seeded(cases[i]), pool=pool)
             except Exception as exc:  # recorded below; the other cases go on
                 return exc
 
@@ -465,6 +485,16 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
                                    if f["stage"] == stage}))
     manifest.save(out_dir)
     return [r for recs in records.values() for r in recs]
+
+
+def _in_process(signals: Iterator[ReceivedSignal]) -> Iterator[ReceivedSignal | Exception]:
+    """The signals of a batch in order; once the batch raises an exception,
+    that exception in place of every signal left."""
+    try:
+        yield from signals
+    except Exception as exc:
+        while True:
+            yield exc
 
 
 def run_phase2(tds: list[CaseRecord], hidden: int, seed: int,

@@ -42,12 +42,20 @@ count and any input ordering.
 Parallelism: kernels that run at the same time run in worker processes, never
 on threads. A round of events makes a few dozen numpy calls on arrays of a
 few thousand elements, and each call releases and retakes the GIL, so threads
-running kernels side by side mostly wait for one another. ``simulate_case``
-sends its replications to a process pool (its caller's, or one of its own
-when ``n_workers > 1``); with one worker and no pool they run in the calling
-thread. Workers are forked where the platform can fork, so they start with
-the package imported. A replication receives the case's ``SystemParams``,
-the ``SimConfig`` and its own ``SeedSequence``, and returns its integer hit
+running kernels side by side mostly wait for one another. One kernel call
+runs many (case, replication) tasks in lockstep instead: tasks that share a
+``SimConfig`` apart from their seeds are admitted in order while fewer than
+LOCKSTEP_MOLECULES molecules are in flight, every round moves the molecules
+of all of them, and each task's hit counts come out in task order once it
+and every earlier task are done. So the rounds late in one replication,
+with few molecules left, share their calls with the next task's first.
+``simulate_case`` sends its replications to a process pool, one task per
+replication (its caller's pool, or one of its own when ``n_workers > 1``);
+with one worker and no pool it runs them as one batch in the calling
+thread, and ``simulate_cases`` runs every replication of many cases as one.
+Workers are forked where the platform can fork, so they start with the
+package imported. A replication receives the case's ``SystemParams``, the
+``SimConfig`` and its own ``SeedSequence``, and returns its integer hit
 counts; nothing else crosses the process boundary. Integer sums do not
 depend on which process ran which replication, so the signal bytes do not
 depend on the worker count.
@@ -56,29 +64,38 @@ Draw-order rule: a replication has two streams, ``default_rng`` of the
 children (0,) and (1,) that ``spawn(2)`` makes of its fresh ``SeedSequence``:
 standard normals from the first and uniforms on [0, 1) from the second,
 never interleaved. The kernel runs in rounds; in each, every molecule in
-flight takes one event. Each event consumes three normals (the step, or the
-direction of the jump) and one uniform (the bridge test, or the exit time).
-A round of n molecules takes 3n normals, the x components of all n molecules
-in array order, then the y, then the z, and n uniforms, in array order, with
-one call per stream. Any change to this order, or to the floating-point
-operations applied to the draws, changes the signal bytes and must bump
-SIM_VERSION.
+flight, of every task in the batch, takes one event. Each event consumes
+three normals (the step, or the direction of the jump) and one uniform (the
+bridge test, or the exit time). A task's molecules keep their relative
+order in the batch, and a round of a task with n molecules in flight takes
+3n normals from its stream, the x components of its n molecules in that
+order, then the y, then the z, and n uniforms in that order. A round
+therefore draws the same numbers for a task whichever tasks share the batch,
+and the task's hits do not depend on the batch. Any change to this order,
+or to the floating-point operations applied to the draws, changes the
+signal bytes and must bump SIM_VERSION.
 
-State: a replication keeps its molecules in one (6, n) array, a column per
-molecule in flight: x, y, z, the gap sqrt(x^2 + y^2 + z^2) - r_rx to the
-receiver, the squared distance to the transmitter's centre, and the clock.
-The two distances are computed once per position, when a molecule is
-released or moves; a rejected move keeps the molecule's old column, and the
-molecules that leave are dropped from the array together. A round's boolean
-masks are written into the first n columns of one (4, n_molecules) array
-made per replication, so no round allocates a mask; masks made afresh each
+State: a batch keeps its molecules in one (6, n) array, a column per
+molecule in flight, each task's columns side by side in task order: x, y,
+z, the gap sqrt(x^2 + y^2 + z^2) - r_rx to the receiver, the squared
+distance to the transmitter's centre, and the clock. The two distances are
+computed once per position, when a molecule is released or moves; a
+rejected move keeps the molecule's old column, and the molecules that leave
+are dropped from the array together. A case's constants (D dt_sub, the near
+threshold, the transmitter's centre and squared radius, r_tx and r_rx) are
+six floats while every task in flight is of one case, and otherwise six
+rows with a column per molecule, dropped with the state's columns. A
+round's normals, uniforms and boolean masks are written into arrays made
+once per kernel call, so no round allocates them; masks made afresh each
 round would leave numpy's cache of small freed blocks holding about 2 MB
 more in a process that runs many kernels.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -88,6 +105,7 @@ from .types import ReceivedSignal, SystemParams, TimeGrid, ValidationError
 __all__ = [
     "SimConfig",
     "simulate_case",
+    "simulate_cases",
     "process_pool",
     "case_seed",
     "SIM_VERSION",
@@ -183,45 +201,119 @@ class SimConfig:
         return self.n_molecules * self.n_replications
 
 
-def _replication_hits(p: SystemParams, cfg: SimConfig,
-                      seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """First-hit counts per output bin for one replication of case ``p``,
-    placed, moved and drawn as the module docstring states.
+# The kernel admits the next task while fewer molecules than this are in
+# flight, so a round moves at most this many plus one task's, less one.
+LOCKSTEP_MOLECULES = 1024
 
-    A round moves every column of the state array at once. Every molecule's
-    step and jump are both computed, and each molecule keeps the one its
-    distance calls for; that costs fewer numpy calls per round than
-    gathering the two groups apart, and the rounds late in a replication,
-    with few molecules left, are nothing but calls.
+
+def _place(x: np.ndarray, tx_x, r_rx) -> np.ndarray:
+    """Fill rows 3 and 4 of ``x`` (5, n), under positions in rows 0 to 2,
+    with their gaps and squared tx distances; returns ``x``."""
+    yz = x[1] * x[1]
+    yz += x[2] * x[2]
+    np.sqrt(x[0] * x[0] + yz, out=x[3])
+    x[3] -= r_rx
+    dx = x[0] - tx_x
+    np.multiply(dx, dx, out=x[4])
+    x[4] += yz
+    return x
+
+
+class _Task:
+    """One (case, replication) task of the kernel: its two streams, its case's
+    constants, its molecules in flight and the bin ends of its hits."""
+
+    __slots__ = ("normal", "uniform", "consts", "count", "ends", "hits")
+
+    def __init__(self, p: SystemParams, cfg: SimConfig, seed_seq: np.random.SeedSequence):
+        self.normal, self.uniform = map(np.random.default_rng, seed_seq.spawn(2))
+        d_dt = p.diff_coeff * cfg.dt_sub
+        # a point transmitter sits at infinity: it never bounds rho or rejects a move
+        tx_x = p.r_rx + p.d + p.r_tx if p.r_tx > 0.0 else np.inf
+        self.consts = (d_dt, NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt)), tx_x,
+                       p.r_tx * p.r_tx, p.r_tx, p.r_rx)
+        self.count = cfg.n_molecules
+        self.ends: list[np.ndarray] = []
+        self.hits = None
+
+    def release(self, p: SystemParams) -> np.ndarray:
+        """The state column of a molecule at its release."""
+        _, _, tx_x, _, _, r_rx = self.consts
+        return _place(np.array([[p.r_rx + p.d], [0.0], [0.0], [0.0], [0.0], [0.0]]),
+                      tx_x, r_rx)
+
+
+def _lockstep_hits(tasks: Iterable[tuple[SystemParams, np.random.SeedSequence]],
+                   cfg: SimConfig) -> Iterator[np.ndarray]:
+    """First-hit counts per output bin of each (case, replication) task, in
+    task order, placed, moved and drawn as the module docstring states.
+
+    Tasks are admitted in order while fewer than LOCKSTEP_MOLECULES
+    molecules are in flight, and a task's counts are yielded as soon as it
+    and every earlier task are done. A round moves every column of the state
+    array at once. Every molecule's step and jump are both computed, and
+    each molecule keeps the one its distance calls for; that costs fewer
+    numpy calls per round than gathering the two groups apart, and the
+    rounds late in a replication, with few molecules left, are nothing but
+    calls.
     """
-    normal_rng, uniform_rng = map(np.random.default_rng, seed_seq.spawn(2))
-    n = cfg.n_molecules
-    d_dt = p.diff_coeff * cfg.dt_sub
-    near = NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt))
-    n_steps = cfg.grid.n_bins * cfg.substep_factor
-    # a point transmitter sits at infinity: it never bounds rho or rejects a move
-    tx_x = p.r_rx + p.d + p.r_tx if p.r_tx > 0.0 else np.inf
-    tx_r2 = p.r_tx * p.r_tx
-
-    def with_geometry(x: np.ndarray) -> np.ndarray:
-        """Positions (3, n) stacked over their gaps and squared tx distances."""
-        yz = x[1] * x[1]
-        yz += x[2] * x[2]
-        dx = x[0] - tx_x
-        return np.vstack((x, np.sqrt(x[0] * x[0] + yz) - p.r_rx, dx * dx + yz))
-
-    state = np.zeros((6, n))
-    state[:5] = with_geometry(np.array([[p.r_rx + p.d], [0.0], [0.0]]))
-    masks = np.empty((4, n), dtype=bool)
-    hit_ends = []
+    n_bins, per_bin = cfg.grid.n_bins, cfg.substep_factor
+    n_steps = n_bins * per_bin
+    width = LOCKSTEP_MOLECULES + cfg.n_molecules - 1
+    # a round's normals fill the first 3n entries, and become the positions
+    # the molecules move to, over their gaps and squared tx distances
+    moves = np.empty(5 * width)
+    uniforms = np.empty(width)
+    masks = np.empty((4, width), dtype=bool)
+    state = np.empty((6, 0))
+    consts = None
+    live: list[_Task] = []       # the tasks in flight, in column order
+    pending: deque[_Task] = deque()   # admitted and not yet yielded
+    tasks = iter(tasks)
+    upcoming = next(tasks, None)
     # a uniform of exactly 0 has log -inf, which passes the bridge test
     with np.errstate(divide="ignore"):
-        while n:
-            g = normal_rng.standard_normal((3, n))
-            u = uniform_rng.random(n)
+        while live or upcoming is not None:
+            n = state.shape[1]
+            while upcoming is not None and n < LOCKSTEP_MOLECULES:
+                p, seed_seq = upcoming
+                task = _Task(p, cfg, seed_seq)
+                if not n:
+                    consts = task.consts
+                elif isinstance(consts, np.ndarray) or task.consts != consts:
+                    if isinstance(consts, tuple):
+                        consts = np.repeat(np.array(consts)[:, None], n, axis=1)
+                    consts = np.hstack((consts, np.repeat(np.array(task.consts)[:, None],
+                                                          task.count, axis=1)))
+                state = np.hstack((state, np.repeat(task.release(p), task.count, axis=1)))
+                live.append(task)
+                pending.append(task)
+                n = state.shape[1]
+                upcoming = next(tasks, None)
+            # each task draws its 3n normals into its columns of the rows of
+            # g, x components first, then its n uniforms; a task alone draws
+            # its normals in one call
+            moved = moves[:5 * n].reshape(5, n)
+            g = moved[:3]
+            u = uniforms[:n]
+            if len(live) == 1:
+                live[0].normal.standard_normal(out=moves[:3 * n])
+                live[0].uniform.random(out=u)
+            else:
+                starts = []
+                a = 0
+                for task in live:
+                    b = a + task.count
+                    for row in g:
+                        task.normal.standard_normal(out=row[a:b])
+                    task.uniform.random(out=u[a:b])
+                    starts.append(a)
+                    a = b
             gap, tx2, clock = state[3:]
+            # a tuple of floats while every task in flight is of one case
+            d_dt, near, tx_x, tx_r2, r_tx, r_rx = consts
             close, absorbed, inside, done = masks[:, :n]
-            rho = np.minimum(gap, np.sqrt(tx2) - p.r_tx)
+            rho = np.minimum(gap, np.sqrt(tx2) - r_tx)
             np.less_equal(rho, near, out=close)
             # both moves are pos + g * scale: a far molecule's g, normalized,
             # points to its jump target on the ball of radius rho; a near
@@ -234,25 +326,61 @@ def _replication_hits(p: SystemParams, cfg: SimConfig,
             gg += g[2] * g[2]
             g *= np.where(close, np.sqrt(2.0 * var), rho / np.sqrt(gg))
             g += state[:3]
-            moved = with_geometry(g)
+            _place(moved, tx_x, r_rx)
             # a near step to gap1 = moved[3] is absorbed by the bridge test
             # u < exp(-gap gap1 / var), taken as log(u) < -gap gap1 / var, which
             # a step ending inside the receiver passes (its right side is >= 0)
             np.less(np.log(u), -(gap * moved[3]) / var, out=absorbed)
             absorbed &= close
-            hit_ends.append(t1.compress(absorbed))
             state[5] = np.where(close, t1, clock + _exit_times(u) * (rho * rho / d_dt))
             np.less_equal(moved[4], tx_r2, out=inside)
-            state[:5] = np.where(inside, state[:5], moved)
+            np.copyto(moved, state[:5], where=inside)
+            state[:5] = moved
             np.greater_equal(state[5], n_steps, out=done)
             done |= absorbed
-            if np.count_nonzero(done):
-                state = state.compress(np.logical_not(done, out=done), axis=1)
-                n = state.shape[1]
-    # a hit in the step ending at grid point t1 falls in bin (t1 - 1) // substep_factor
-    ends = np.concatenate(hit_ends).astype(np.int64)
-    return np.bincount((ends - 1) // cfg.substep_factor,
-                       minlength=cfg.grid.n_bins).astype(np.int64)
+            n_done = np.count_nonzero(done)
+            if not n_done:
+                continue
+            ends = t1.compress(absorbed)
+            if len(live) == 1:
+                live[0].ends.append(ends)
+                live[0].count -= n_done
+            else:
+                # each task's absorbed and leaving molecules; its hits are
+                # the next of the ends, which keep the column order
+                a = 0
+                for task, k, gone in zip(live, *np.add.reduceat(
+                        masks[1:4:2, :n], starts, axis=1, dtype=np.intp).tolist()):
+                    task.ends.append(ends[a:a + k])
+                    task.count -= gone
+                    a += k
+            keep = np.logical_not(done, out=done)
+            state = state.compress(keep, axis=1)
+            if isinstance(consts, np.ndarray):
+                consts = consts.compress(keep, axis=1)
+            if all(task.count for task in live):
+                continue
+            for task in live:
+                if not task.count:
+                    # a hit in the step ending at grid point t1 falls in bin
+                    # (t1 - 1) // substep_factor
+                    hit_ends = np.concatenate(task.ends).astype(np.int64)
+                    task.hits = np.bincount((hit_ends - 1) // per_bin,
+                                            minlength=n_bins).astype(np.int64)
+                    task.ends = None
+            live = [task for task in live if task.count]
+            if live and isinstance(consts, np.ndarray) \
+                    and all(task.consts == live[0].consts for task in live):
+                consts = live[0].consts
+            while pending and pending[0].hits is not None:
+                yield pending.popleft().hits
+
+
+def _replication_hits(p: SystemParams, cfg: SimConfig,
+                      seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """First-hit counts per output bin for one replication of case ``p``:
+    the kernel's one-task call, and the task a process pool runs."""
+    return next(_lockstep_hits([(p, seed_seq)], cfg))
 
 
 def process_pool(n_workers: int):
@@ -275,21 +403,47 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
                   pool=None) -> ReceivedSignal:
     """Mean cumulative first-hitting fraction over all replications.
 
-    Replications run on ``pool`` when one is given; otherwise on a pool of
-    ``min(n_workers, n_replications)`` processes when that is more than one,
-    and in the calling thread when it is not. Bitwise deterministic for a
-    fixed (seed, p, cfg) whatever runs them: each replication owns an
-    independent stream and the integer hit counts are merged by order-free
-    addition. Molecules still in flight at t_end are discarded.
+    Replications run on ``pool`` when one is given, one task per
+    replication; otherwise on a pool of ``min(n_workers, n_replications)``
+    processes when that is more than one, and in the calling thread, as one
+    batch, when it is not. Bitwise deterministic for a fixed (seed, p, cfg)
+    whatever runs them: each replication owns an independent stream and the
+    integer hit counts are merged by order-free addition. Molecules still in
+    flight at t_end are discarded.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
     if pool is None and n_workers > 1 and cfg.n_replications > 1:
         with process_pool(min(n_workers, cfg.n_replications)) as own:
             return simulate_case(p, cfg, pool=own)
+    if pool is None:
+        return next(simulate_cases([(p, cfg)]))
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_replications)
-    all_hits = (map if pool is None else pool.map)(_replication_hits, repeat(p),
-                                                   repeat(cfg), seqs)
+    return _signal(pool.map(_replication_hits, repeat(p), repeat(cfg), seqs), cfg)
+
+
+def simulate_cases(cases: Sequence[tuple[SystemParams, SimConfig]]) -> Iterator[ReceivedSignal]:
+    """``simulate_case(p, cfg)`` of each (p, cfg) pair in order, yielded as
+    each is done. Every replication of every case is a task of one kernel
+    call in the calling thread, so a case's last rounds share their numpy
+    calls with the next cases' first. The configurations may differ only in
+    their seeds.
+    """
+    if not cases:
+        return
+    cfg = cases[0][1]
+    if any(replace(case_cfg, seed=cfg.seed) != cfg for _, case_cfg in cases):
+        raise ValidationError("the cases of a batch must share their configuration "
+                              "apart from the seed")
+    hits = _lockstep_hits(((p, seq) for p, case_cfg in cases
+                           for seq in np.random.SeedSequence(case_cfg.seed)
+                           .spawn(cfg.n_replications)), cfg)
+    for _ in cases:
+        yield _signal([next(hits) for _ in range(cfg.n_replications)], cfg)
+
+
+def _signal(all_hits: Iterable[np.ndarray], cfg: SimConfig) -> ReceivedSignal:
+    """The signal of a case from the hit counts of its replications."""
     total = np.sum(list(all_hits), axis=0, dtype=np.int64)
     fraction = np.cumsum(total) / float(cfg.n_emitted)
     return ReceivedSignal(cfg.grid, fraction).validate()

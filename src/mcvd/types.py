@@ -72,8 +72,10 @@ class SystemParams:
     diff_coeff: float
 
     def __post_init__(self) -> None:
+        # + 0.0 stores a zero radius given as -0.0 as 0.0 and leaves every
+        # other value's bits alone, so equal cases seed and key alike
         for name in ("d", "r_tx", "r_rx", "diff_coeff"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)) + 0.0)
         if self.d <= 0:
             raise ValidationError(f"d must be > 0, got {self.d}")
         if self.r_rx <= 0:

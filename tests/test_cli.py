@@ -389,6 +389,43 @@ class TestPipelineFailures:
         vds = [s for s in manifest["stages"] if s["name"] == "phase1:VDS"]
         assert (vds[-1]["simulated"], vds[-1]["resumed"]) == (len(failures), 12 - len(failures))
 
+    def test_exception_in_one_worker_batch_fails_cases_not_done_exit_3(self, tmp_path,
+                                                                       monkeypatch):
+        # one worker simulates the fresh cases of a grid in one kernel batch;
+        # here the kernel raises as it reaches the first task of the fifth VDS
+        # case. Like a dead worker, that fails every case not yet done, and
+        # the signals already written stay on disk.
+        real = mcvd.simulate._lockstep_hits
+
+        def kernel_failing_at_fifth_case(tasks, cfg):
+            tasks = list(tasks)
+            for (p, _), hits in zip(tasks, real(tasks, cfg)):
+                if (p.d, p.r_tx, p.r_rx) == (7.0, 4.0, 4.0):
+                    raise NumericError("non-finite positions")
+                yield hits
+
+        monkeypatch.setattr(mcvd.simulate, "_lockstep_hits", kernel_failing_at_fifth_case)
+        args = ["pipeline", "--out", str(tmp_path), *self.WORKER_RUN, "--workers", "1"]
+        assert run_cli(*args) == EXIT_NUMERIC
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        vds = mcvd.pipeline.reduced_grids()[1].cases()
+        assert [f["case"][:3] for f in manifest["failures"]] \
+            == [[f"{v:g}" for v in (p.d, p.r_tx, p.r_rx)] for p in vds[4:]]
+        assert all(f["stage"] == "phase1:VDS" and f["numeric"]
+                   and "non-finite positions" in f["error"] for f in manifest["failures"])
+        cfg = mcvd.pipeline.run_config(tmp_path)
+        assert [mcvd.pipeline.signal_path(tmp_path, p, cfg).exists() for p in vds] \
+            == [True] * 4 + [False] * 8
+        stage = [s for s in manifest["stages"] if s["name"] == "phase1:VDS"][-1]
+        assert (stage["simulated"], stage["failed"]) == (4, 8)
+
+        # a rerun simulates only the failed cases
+        monkeypatch.undo()
+        assert run_cli(*args) == EXIT_OK
+        stage = [s for s in json.loads((tmp_path / "manifest.json").read_text())["stages"]
+                 if s["name"] == "phase1:VDS"][-1]
+        assert (stage["simulated"], stage["resumed"], stage["failed"]) == (8, 4, 0)
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exit_1(self, tmp_path, workers):
         code = run_cli("pipeline", "--out", str(tmp_path), *self.SMALL_RUN,

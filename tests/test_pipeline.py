@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import threading
@@ -251,17 +252,20 @@ class TestPhase1:
     def test_rerun_reuses_artifacts_bitwise(self, tmp_path, monkeypatch):
         import mcvd.pipeline
         calls = []
+        real_read, real_batch = mcvd.pipeline.read_signal_csv, mcvd.pipeline.simulate_cases
 
-        def counted(name):
-            real = getattr(mcvd.pipeline, name)
+        def read(path):
+            calls.append("read_signal_csv")
+            return real_read(path)
 
-            def call(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return call
+        def batch(cases):
+            # one entry per signal the one-worker batch simulates
+            for sig in real_batch(cases):
+                calls.append("simulate_cases")
+                yield sig
 
-        for name in ("simulate_case", "read_signal_csv"):
-            monkeypatch.setattr(mcvd.pipeline, name, counted(name))
+        monkeypatch.setattr(mcvd.pipeline, "read_signal_csv", read)
+        monkeypatch.setattr(mcvd.pipeline, "simulate_cases", batch)
         grid = tiny_grid()
         cfg = tiny_cfg(seed=5)
         # one kind, then both kinds fitted to the one signal of each case
@@ -269,7 +273,7 @@ class TestPhase1:
             run = tmp_path / str(len(kinds))
             calls.clear()
             first = run_phase1(grid, cfg, kinds, run)
-            assert calls == ["simulate_case"] * grid.case_count()
+            assert calls == ["simulate_cases"] * grid.case_count()
             assert [r.output.kind for r in first] \
                 == [k for k in kinds for _ in range(grid.case_count())]
             stamp = {f: f.stat().st_mtime_ns for f in (run / "signals").iterdir()}
@@ -451,15 +455,23 @@ class TestPhase1:
         kinds = [ModelKind.PRIMITIVE, ModelKind.ENHANCED]
         whole, cut = tmp_path / "whole", tmp_path / "cut"
         run_phase1(grid, cfg, kinds, whole, n_workers=n_workers)
-        real = mcvd.pipeline.simulate_case
+        real_case, real_batch = mcvd.pipeline.simulate_case, mcvd.pipeline.simulate_cases
         third = grid.cases()[2]
 
+        # two workers simulate case by case, one worker in one batch
         def interrupted_at_third(p, case_cfg, **kwargs):
             if p == third:
                 raise KeyboardInterrupt
-            return real(p, case_cfg, **kwargs)
+            return real_case(p, case_cfg, **kwargs)
+
+        def batch_interrupted_at_third(cases):
+            for (p, _), sig in zip(cases, real_batch(cases)):
+                if p == third:
+                    raise KeyboardInterrupt
+                yield sig
 
         monkeypatch.setattr(mcvd.pipeline, "simulate_case", interrupted_at_third)
+        monkeypatch.setattr(mcvd.pipeline, "simulate_cases", batch_interrupted_at_third)
         with pytest.raises(KeyboardInterrupt):
             run_phase1(grid, cfg, kinds, cut, n_workers=n_workers)
         # the cases before the interrupted one are on disk, and nothing else
@@ -538,6 +550,15 @@ class TestCaseSeed:
         assert case_seed(0, p1) == case_seed(0, SystemParams(d=2, r_tx=0, r_rx=5,
                                                              diff_coeff=100))
         assert case_seed(0, p1) != case_seed(1, p1)
+
+    def test_negative_zero_radius_is_the_point_transmitter(self):
+        # equal cases must draw the same streams and share one signal file
+        point = SystemParams(d=3, r_tx=0.0, r_rx=5, diff_coeff=80)
+        signed = SystemParams(d=3, r_tx=-0.0, r_rx=5, diff_coeff=80)
+        assert signed == point
+        assert math.copysign(1.0, signed.r_tx) == 1.0
+        assert case_seed(0, signed) == case_seed(0, point)
+        assert case_key(signed, tiny_cfg()) == case_key(point, tiny_cfg())
 
 
 class TestCaseKey:

@@ -20,8 +20,9 @@ from mcvd import (
     simulate_case,
 )
 
+import mcvd.simulate
 from mcvd.pipeline import reduced_grids
-from mcvd.simulate import _EXIT_S, SIM_VERSION, _exit_times, case_seed
+from mcvd.simulate import _EXIT_S, SIM_VERSION, _exit_times, case_seed, simulate_cases
 
 from stepper_oracle import lone_molecule_hit, placement, step_molecule
 
@@ -356,19 +357,57 @@ print(rss() - before)
 """
 
 
+# Runs phase 1 of the reduced study at one worker, every fresh case of a grid
+# in one kernel batch, and prints how far VmRSS grew, in MB, after a phase 1
+# of the first case alone.
+PHASE1_RSS_GROWTH_SCRIPT = r"""
+import re
+import tempfile
+from pathlib import Path
+from mcvd import ModelKind, ParameterGrid, run_phase1
+from mcvd.pipeline import reduced_grids
+from mcvd.simulate import SimConfig
+def rss():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmRSS:\s+(\d+) kB", f.read()).group(1)) / 1024
+cfg = SimConfig(n_molecules=1000, n_replications=1, seed=1)
+grids = reduced_grids()
+first = grids[0].cases()[0]
+with tempfile.TemporaryDirectory() as out:
+    run_phase1(ParameterGrid((first.d,), (first.r_tx,), (first.diff_coeff,), (first.r_rx,),
+                             grids[0].label), cfg, list(ModelKind), Path(out) / "first")
+    before = rss()
+    for grid in grids:
+        run_phase1(grid, cfg, list(ModelKind), Path(out) / "run")
+    print(rss() - before)
+"""
+
+
+def _rss_growth(script: str) -> float:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
 class TestKernelMemory:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmRSS")
     def test_many_kernels_hold_no_mask_blocks(self):
-        # every boolean mask of a round is a row of one array per replication,
+        # every boolean mask of a round is a row of one array per kernel call,
         # so the rounds leave numpy no small freed blocks of every size to
         # keep: these cases grow VmRSS by about 0.6 MB, and by about 2.2 MB
         # when each round allocates its masks
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 1.2
+        assert _rss_growth(RSS_GROWTH_SCRIPT) < 1.2
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmRSS")
+    def test_one_worker_batch_stays_small(self):
+        # a batch keeps up to LOCKSTEP_MOLECULES plus one task's molecules in
+        # flight: the reduced study's phase 1 grows VmRSS by about 1.5 MB at a
+        # cap of 1,024, against 0.6 MB with one case in flight at a time, and
+        # by about 1.9 MB at a cap of 2,048
+        assert _rss_growth(PHASE1_RSS_GROWTH_SCRIPT) < 1.8
 
 
 class TestSimulateBatch:
@@ -382,6 +421,73 @@ class TestSimulateBatch:
         batch = read_signal_csv(tmp_path / "signals" / f"sig_{case_key(p, cfg)}.csv")
         direct = simulate_case(p, replace(cfg, seed=case_seed(cfg.seed, p)))
         assert np.array_equal(batch.cumulative_fraction, direct.cumulative_fraction)
+
+
+def reduced_grid_tasks():
+    """The configuration and the (case, replication) tasks whose signals
+    REDUCED_GRIDS_DIGESTS pins, in grid order."""
+    cfg = small_cfg(seed=1, n_replications=1, grid=TimeGrid(1e-3, 0.2))
+    return cfg, [(p, np.random.SeedSequence(case_seed(cfg.seed, p)).spawn(1)[0])
+                 for grid in reduced_grids() for p in grid.cases()]
+
+
+def signals_digest(signals) -> str:
+    digest = hashlib.sha256()
+    for values in signals:
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+class TestLockstep:
+    def test_batch_composition_leaves_every_tasks_hits(self, monkeypatch):
+        # 300 molecules a task: the default cap keeps up to 17 tasks of
+        # different cases in flight, a cap of 8,192 all 72, and a cap of one
+        # runs each task alone
+        # (a task spawns its streams from its SeedSequence, so each run
+        # takes fresh ones)
+        cfg, tasks = reduced_grid_tasks()
+        batched = list(mcvd.simulate._lockstep_hits(tasks, cfg))
+        backwards = list(mcvd.simulate._lockstep_hits(reduced_grid_tasks()[1][::-1], cfg))[::-1]
+        runs = {}
+        for cap in (1, 8192):
+            monkeypatch.setattr(mcvd.simulate, "LOCKSTEP_MOLECULES", cap)
+            runs[cap] = list(mcvd.simulate._lockstep_hits(reduced_grid_tasks()[1], cfg))
+        for hits in (batched, backwards, runs[8192]):
+            assert len(hits) == len(tasks)
+            for a, b in zip(runs[1], hits, strict=True):
+                assert np.array_equal(a, b)
+        assert signals_digest(np.cumsum(h) / float(cfg.n_emitted) for h in batched) \
+            == REDUCED_GRIDS_DIGESTS[SIM_VERSION]
+
+    def test_one_worker_phase1_holds_the_reduced_grids_digest(self, tmp_path):
+        from mcvd import ModelKind, run_phase1
+        from mcvd.pipeline import read_signal_csv, signal_path
+        cfg, _ = reduced_grid_tasks()
+        signals = []
+        for grid in reduced_grids():
+            run_phase1(grid, cfg, [ModelKind.PRIMITIVE], tmp_path)
+            signals += [read_signal_csv(signal_path(tmp_path, p, cfg)).cumulative_fraction
+                        for p in grid.cases()]
+        assert signals_digest(signals) == REDUCED_GRIDS_DIGESTS[SIM_VERSION]
+
+    def test_batch_of_cases_equals_each_case_alone(self, monkeypatch):
+        cfg = small_cfg(n_replications=3)
+        cases = [(p, replace(cfg, seed=seed)) for p, seed in [
+            (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), 1),
+            (SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0), 2),
+            (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), 3),
+            (SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=50.0), 4)]]
+        batch = list(simulate_cases(cases))
+        monkeypatch.setattr(mcvd.simulate, "LOCKSTEP_MOLECULES", 1)
+        for (p, case_cfg), sig in zip(cases, batch, strict=True):
+            alone = simulate_case(p, case_cfg).cumulative_fraction
+            assert alone.tobytes() == sig.cumulative_fraction.tobytes()
+
+    def test_cases_of_a_batch_share_their_configuration(self):
+        p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
+        assert list(simulate_cases([])) == []
+        with pytest.raises(ValidationError, match="apart from the seed"):
+            list(simulate_cases([(p, small_cfg(seed=1)), (p, small_cfg(seed=2, n_molecules=30))]))
 
 
 class TestSimConfig:
