@@ -88,7 +88,7 @@ class TrainReport:
 class Network:
     """Weights plus the normalization metadata needed to apply them. The kind
     fixes the input and output sizes and w1's rows the hidden size; weights
-    of other shapes are refused."""
+    of other shapes, and non-finite entries, are refused."""
 
     kind: ModelKind
     w1: np.ndarray            # (hidden, inputs)
@@ -103,11 +103,14 @@ class Network:
     def __post_init__(self) -> None:
         self.kind = ModelKind(self.kind)
         h, i, o = self.w1.shape[0], N_INPUTS[self.kind], len(default_bounds(self.kind))
-        shapes = [a.shape for a in (self.w1, self.b1, self.w2, self.b2,
-                                    self.in_min, self.in_max, self.out_min, self.out_max)]
+        arrays = (self.w1, self.b1, self.w2, self.b2,
+                  self.in_min, self.in_max, self.out_min, self.out_max)
+        shapes = [a.shape for a in arrays]
         if shapes != [(h, i), (h,), (o, h), (o,), (i,), (i,), (o,), (o,)]:
             raise ValidationError(f"inconsistent weight shapes for the {self.kind.value} "
                                   f"kind: {shapes}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValidationError("a network's weights and bounds must be finite")
         if np.any(self.in_min >= self.in_max) or np.any(self.out_min >= self.out_max):
             raise ValidationError("normalization mins must be strictly below maxes")
 

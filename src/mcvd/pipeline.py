@@ -348,6 +348,11 @@ def _sim_config_dict(cfg: SimConfig) -> dict:
     }
 
 
+def _same_record(a: dict, b: dict) -> bool:
+    """Whether two records are the same JSON in any key order: 1, 1.0 and true differ."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def run_config(run_dir: Path) -> SimConfig:
     """The simulation configuration recorded in a run directory's manifest,
     which must be the record ``run_phase1`` writes for it."""
@@ -359,7 +364,7 @@ def run_config(run_dir: Path) -> SimConfig:
                         seed=int(sc["seed"]), substep_factor=int(sc["substep_factor"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {exc!r}") from exc
-    if _sim_config_dict(cfg) != sc:
+    if not _same_record(_sim_config_dict(cfg), sc):
         raise ValidationError(f"malformed sim_config in the manifest of {run_dir}: {sc}")
     return cfg
 
@@ -418,7 +423,7 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     sim_config = _sim_config_dict(cfg)
     manifest = _load_or_create_manifest(out_dir, sim_config)
     # an empty configuration comes from a run that only trained a network
-    if manifest.sim_config and manifest.sim_config != sim_config:
+    if manifest.sim_config and not _same_record(manifest.sim_config, sim_config):
         raise ValidationError(f"{out_dir} holds a run under another simulation "
                               f"configuration: {manifest.sim_config}")
     manifest.sim_config = sim_config
@@ -427,9 +432,6 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
     paths = [signal_path(out_dir, p, cfg) for p in cases]
     fresh = [not path.exists() for path in paths]
     simulated = resumed = 0
-
-    def seeded(p: SystemParams) -> SimConfig:
-        return replace(cfg, seed=case_seed(cfg.seed, p))
 
     with ExitStack() as stack:
         pool, dispatch = None, map
@@ -442,8 +444,8 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
             stack.callback(threads.shutdown, cancel_futures=True)
             dispatch = threads.map
         else:
-            batch = _in_process(simulate_cases([(p, seeded(p)) for p, is_new
-                                                in zip(cases, fresh) if is_new]))
+            batch = _in_process(simulate_cases([(p, case_seed(cfg.seed, p)) for p, is_new
+                                                in zip(cases, fresh) if is_new], cfg))
 
         def load_or_simulate(i: int) -> ReceivedSignal | Exception:
             try:
@@ -451,7 +453,8 @@ def run_phase1(grid: ParameterGrid, cfg: SimConfig, kinds: Sequence[ModelKind],
                     return read_signal_csv(paths[i])
                 if pool is None:
                     return next(batch)
-                return simulate_case(cases[i], seeded(cases[i]), pool=pool)
+                return simulate_case(cases[i], replace(cfg, seed=case_seed(cfg.seed, cases[i])),
+                                     pool=pool)
             except Exception as exc:  # recorded below; the other cases go on
                 return exc
 

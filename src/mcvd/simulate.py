@@ -31,37 +31,37 @@ reaches t_end is dropped. Every jump length, exit time and bridge exponent is
 a ratio of squared lengths to D dt_sub, so doubling every length and
 quadrupling D gives the same bytes.
 
-Determinism contract: every (case, replication) pair draws from its own
-explicitly seeded streams. A case's replications take the children of
-``SeedSequence(seed).spawn(n_replications)``, spawn keys (0,), (1,), ...; a
-grid seeds each case from ``SeedSequence(entropy=seed, spawn_key=(0x5EED,
-case_hash))``, with case_hash derived from the case's physical parameters
-(not its position), so results are bitwise reproducible for any worker
-count and any input ordering.
+Determinism contract: replication r of a case seeded s draws from its own
+streams, spawn keys (r, 0) and (r, 1) of ``SeedSequence(s)``, which are
+``SeedSequence(s).spawn(n)[r].spawn(2)``; a grid seeds each case from
+``SeedSequence(entropy=seed, spawn_key=(0x5EED, case_hash))``, with
+case_hash derived from the case's physical parameters (not its position),
+so results are bitwise reproducible for any worker count, any input
+ordering and any rerun of a (case, seed, replication) task.
 
 Parallelism: kernels that run at the same time run in worker processes, never
 on threads. A round of events makes a few dozen numpy calls on arrays of a
 few thousand elements, and each call releases and retakes the GIL, so threads
 running kernels side by side mostly wait for one another. One kernel call
-runs many (case, replication) tasks in lockstep instead: tasks that share a
-``SimConfig`` apart from their seeds are admitted in order while fewer than
-LOCKSTEP_MOLECULES molecules are in flight, every round moves the molecules
-of all of them, and each task's hit counts come out in task order once it
-and every earlier task are done. So the rounds late in one replication,
-with few molecules left, share their calls with the next task's first.
+runs many (case, seed, replication) tasks of one ``SimConfig`` in lockstep
+instead: they are admitted in order while fewer than LOCKSTEP_MOLECULES
+molecules are in flight, every round moves the molecules of all of them,
+and each task's hit counts come out in task order once it and every
+earlier task are done. So the rounds late in one replication, with few
+molecules left, share their calls with the next task's first.
 ``simulate_case`` sends its replications to a process pool, one task per
 replication (its caller's pool, or one of its own when ``n_workers > 1``);
 with one worker and no pool it runs them as one batch in the calling
 thread, and ``simulate_cases`` runs every replication of many cases as one.
 Workers are forked where the platform can fork, so they start with the
-package imported. A replication receives the case's ``SystemParams``, the
-``SimConfig`` and its own ``SeedSequence``, and returns its integer hit
-counts; nothing else crosses the process boundary. Integer sums do not
-depend on which process ran which replication, so the signal bytes do not
-depend on the worker count.
+package imported. A pool task receives the case's ``SystemParams``, the
+``SimConfig`` that carries the case's seed, and the replication index, and
+returns its integer hit counts; nothing else crosses the process boundary.
+Integer sums do not depend on which process ran which replication, so the
+signal bytes do not depend on the worker count.
 
-Draw-order rule: a replication has two streams, ``default_rng`` of the
-children (0,) and (1,) that ``spawn(2)`` makes of its fresh ``SeedSequence``:
+Draw-order rule: replication r has two streams, ``default_rng`` of the
+spawn keys (r, 0) and (r, 1) of its case's seed, as the contract states:
 standard normals from the first and uniforms on [0, 1) from the second,
 never interleaved. The kernel runs in rounds; in each, every molecule in
 flight, of every task in the batch, takes one event. Each event consumes
@@ -95,7 +95,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -220,33 +220,32 @@ def _place(x: np.ndarray, tx_x, r_rx) -> np.ndarray:
 
 
 class _Task:
-    """One (case, replication) task of the kernel: its two streams, its case's
-    constants, its molecules in flight and the bin ends of its hits."""
+    """One (case, seed, replication) task of the kernel: its two streams, its
+    case's constants, the state column of a molecule at its release, its
+    molecules in flight and the bin ends of its hits."""
 
-    __slots__ = ("normal", "uniform", "consts", "count", "ends", "hits")
+    __slots__ = ("normal", "uniform", "consts", "release", "count", "ends", "hits")
 
-    def __init__(self, p: SystemParams, cfg: SimConfig, seed_seq: np.random.SeedSequence):
-        self.normal, self.uniform = map(np.random.default_rng, seed_seq.spawn(2))
+    def __init__(self, cfg: SimConfig, p: SystemParams, seed: int, replication: int):
+        self.normal, self.uniform = (np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(replication, stream))) for stream in (0, 1))
         d_dt = p.diff_coeff * cfg.dt_sub
         # a point transmitter sits at infinity: it never bounds rho or rejects a move
         tx_x = p.r_rx + p.d + p.r_tx if p.r_tx > 0.0 else np.inf
         self.consts = (d_dt, NEAR_SIGMAS * float(np.sqrt(2.0 * d_dt)), tx_x,
                        p.r_tx * p.r_tx, p.r_tx, p.r_rx)
+        self.release = _place(np.array([[p.r_rx + p.d], [0.0], [0.0], [0.0], [0.0], [0.0]]),
+                              tx_x, p.r_rx)
         self.count = cfg.n_molecules
         self.ends: list[np.ndarray] = []
         self.hits = None
 
-    def release(self, p: SystemParams) -> np.ndarray:
-        """The state column of a molecule at its release."""
-        _, _, tx_x, _, _, r_rx = self.consts
-        return _place(np.array([[p.r_rx + p.d], [0.0], [0.0], [0.0], [0.0], [0.0]]),
-                      tx_x, r_rx)
 
-
-def _lockstep_hits(tasks: Iterable[tuple[SystemParams, np.random.SeedSequence]],
+def _lockstep_hits(tasks: Iterable[tuple[SystemParams, int, int]],
                    cfg: SimConfig) -> Iterator[np.ndarray]:
-    """First-hit counts per output bin of each (case, replication) task, in
-    task order, placed, moved and drawn as the module docstring states.
+    """First-hit counts per output bin of each (case, seed, replication)
+    task, in task order, placed, moved and drawn as the module docstring
+    states.
 
     Tasks are admitted in order while fewer than LOCKSTEP_MOLECULES
     molecules are in flight, and a task's counts are yielded as soon as it
@@ -276,8 +275,7 @@ def _lockstep_hits(tasks: Iterable[tuple[SystemParams, np.random.SeedSequence]],
         while live or upcoming is not None:
             n = state.shape[1]
             while upcoming is not None and n < LOCKSTEP_MOLECULES:
-                p, seed_seq = upcoming
-                task = _Task(p, cfg, seed_seq)
+                task = _Task(cfg, *upcoming)
                 if not n:
                     consts = task.consts
                 elif isinstance(consts, np.ndarray) or task.consts != consts:
@@ -285,7 +283,7 @@ def _lockstep_hits(tasks: Iterable[tuple[SystemParams, np.random.SeedSequence]],
                         consts = np.repeat(np.array(consts)[:, None], n, axis=1)
                     consts = np.hstack((consts, np.repeat(np.array(task.consts)[:, None],
                                                           task.count, axis=1)))
-                state = np.hstack((state, np.repeat(task.release(p), task.count, axis=1)))
+                state = np.hstack((state, np.repeat(task.release, task.count, axis=1)))
                 live.append(task)
                 pending.append(task)
                 n = state.shape[1]
@@ -376,11 +374,10 @@ def _lockstep_hits(tasks: Iterable[tuple[SystemParams, np.random.SeedSequence]],
                 yield pending.popleft().hits
 
 
-def _replication_hits(p: SystemParams, cfg: SimConfig,
-                      seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """First-hit counts per output bin for one replication of case ``p``:
-    the kernel's one-task call, and the task a process pool runs."""
-    return next(_lockstep_hits([(p, seed_seq)], cfg))
+def _replication_hits(p: SystemParams, cfg: SimConfig, replication: int) -> np.ndarray:
+    """First-hit counts per output bin for one replication of case ``p`` seeded
+    ``cfg.seed``: the kernel's one-task call, and the task a process pool runs."""
+    return next(_lockstep_hits([(p, cfg.seed, replication)], cfg))
 
 
 def process_pool(n_workers: int):
@@ -417,27 +414,21 @@ def simulate_case(p: SystemParams, cfg: SimConfig, n_workers: int = 1,
         with process_pool(min(n_workers, cfg.n_replications)) as own:
             return simulate_case(p, cfg, pool=own)
     if pool is None:
-        return next(simulate_cases([(p, cfg)]))
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.n_replications)
-    return _signal(pool.map(_replication_hits, repeat(p), repeat(cfg), seqs), cfg)
+        return next(simulate_cases([(p, cfg.seed)], cfg))
+    return _signal(pool.map(_replication_hits, repeat(p), repeat(cfg),
+                            range(cfg.n_replications)), cfg)
 
 
-def simulate_cases(cases: Sequence[tuple[SystemParams, SimConfig]]) -> Iterator[ReceivedSignal]:
-    """``simulate_case(p, cfg)`` of each (p, cfg) pair in order, yielded as
-    each is done. Every replication of every case is a task of one kernel
-    call in the calling thread, so a case's last rounds share their numpy
-    calls with the next cases' first. The configurations may differ only in
-    their seeds.
+def simulate_cases(cases: Sequence[tuple[SystemParams, int]],
+                   cfg: SimConfig) -> Iterator[ReceivedSignal]:
+    """``simulate_case(p, replace(cfg, seed=seed))`` of each (p, seed)
+    pair in order, yielded as each is done; ``cfg.seed`` is not used. Every
+    replication of every case is a task of one kernel call in the calling
+    thread, so a case's last rounds share their numpy calls with the next
+    cases' first.
     """
-    if not cases:
-        return
-    cfg = cases[0][1]
-    if any(replace(case_cfg, seed=cfg.seed) != cfg for _, case_cfg in cases):
-        raise ValidationError("the cases of a batch must share their configuration "
-                              "apart from the seed")
-    hits = _lockstep_hits(((p, seq) for p, case_cfg in cases
-                           for seq in np.random.SeedSequence(case_cfg.seed)
-                           .spawn(cfg.n_replications)), cfg)
+    hits = _lockstep_hits(((p, seed, replication) for p, seed in cases
+                           for replication in range(cfg.n_replications)), cfg)
     for _ in cases:
         yield _signal([next(hits) for _ in range(cfg.n_replications)], cfg)
 

@@ -43,16 +43,16 @@ def _is_bad_case(p) -> bool:
     return True
 
 
-def _hits_numeric_failure(p, cfg, seed_seq):
+def _hits_numeric_failure(p, cfg, replication):
     if _is_bad_case(p):
         raise NumericError("non-finite positions")
-    return _REAL_HITS(p, cfg, seed_seq)
+    return _REAL_HITS(p, cfg, replication)
 
 
-def _hits_worker_dies(p, cfg, seed_seq):
+def _hits_worker_dies(p, cfg, replication):
     if _is_bad_case(p):
         os._exit(1)
-    return _REAL_HITS(p, cfg, seed_seq)
+    return _REAL_HITS(p, cfg, replication)
 
 
 PIPELINE_RUN = ("--seed", "3", "--molecules", "150", "--replications", "2",
@@ -225,8 +225,12 @@ class TestPipelineArtifacts:
         manifest.write_bytes(before["manifest.json"])
         assert run_cli(*args) == EXIT_OK
 
+    # Python finds True == 1 == 1.0, and the run has 150 molecules, 2
+    # replications, 1 substep and seed 3; false reads as seed 0
     @pytest.mark.parametrize("field, value", [("n_molecules", 150.7), ("n_molecules", "150"),
-                                              ("dt", "0.0050"), ("seed", None)])
+                                              ("dt", "0.0050"), ("seed", None),
+                                              ("n_replications", True), ("seed", False),
+                                              ("substep_factor", 1.0), ("n_molecules", 150.0)])
     def test_sim_config_that_does_not_round_trip_refused(self, pipeline_run, tmp_path,
                                                           field, value):
         run = tmp_path / "run"
@@ -399,7 +403,7 @@ class TestPipelineFailures:
 
         def kernel_failing_at_fifth_case(tasks, cfg):
             tasks = list(tasks)
-            for (p, _), hits in zip(tasks, real(tasks, cfg)):
+            for (p, *_), hits in zip(tasks, real(tasks, cfg)):
                 if (p.d, p.r_tx, p.r_rx) == (7.0, 4.0, 4.0):
                     raise NumericError("non-finite positions")
                 yield hits

@@ -229,6 +229,20 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="malformed network"):
             load_network(path)
 
+    @pytest.mark.parametrize("name, value", [("in_max", "inf"), ("w1", "inf"), ("b2", "nan")])
+    def test_network_with_a_non_finite_entry_refused(self, tmp_path, name, value):
+        # such a network would clamp every prediction to the output bounds
+        path = tmp_path / "net.json"
+        save_network(PINNED_NETWORK, path)
+        data = json.loads(path.read_text())
+        entries = data[name]
+        if isinstance(entries[0], list):  # a matrix: its first row
+            entries = entries[0]
+        entries[-1] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="must be finite"):
+            load_network(path)
+
 
 class TestPhase1:
     def test_single_case_grid_produces_matching_record(self, tmp_path):
@@ -258,9 +272,9 @@ class TestPhase1:
             calls.append("read_signal_csv")
             return real_read(path)
 
-        def batch(cases):
+        def batch(cases, cfg):
             # one entry per signal the one-worker batch simulates
-            for sig in real_batch(cases):
+            for sig in real_batch(cases, cfg):
                 calls.append("simulate_cases")
                 yield sig
 
@@ -464,8 +478,8 @@ class TestPhase1:
                 raise KeyboardInterrupt
             return real_case(p, case_cfg, **kwargs)
 
-        def batch_interrupted_at_third(cases):
-            for (p, _), sig in zip(cases, real_batch(cases)):
+        def batch_interrupted_at_third(cases, cfg):
+            for (p, _), sig in zip(cases, real_batch(cases, cfg)):
                 if p == third:
                     raise KeyboardInterrupt
                 yield sig

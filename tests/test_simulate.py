@@ -427,7 +427,7 @@ def reduced_grid_tasks():
     """The configuration and the (case, replication) tasks whose signals
     REDUCED_GRIDS_DIGESTS pins, in grid order."""
     cfg = small_cfg(seed=1, n_replications=1, grid=TimeGrid(1e-3, 0.2))
-    return cfg, [(p, np.random.SeedSequence(case_seed(cfg.seed, p)).spawn(1)[0])
+    return cfg, [(p, case_seed(cfg.seed, p), 0)
                  for grid in reduced_grids() for p in grid.cases()]
 
 
@@ -443,21 +443,28 @@ class TestLockstep:
         # 300 molecules a task: the default cap keeps up to 17 tasks of
         # different cases in flight, a cap of 8,192 all 72, and a cap of one
         # runs each task alone
-        # (a task spawns its streams from its SeedSequence, so each run
-        # takes fresh ones)
         cfg, tasks = reduced_grid_tasks()
         batched = list(mcvd.simulate._lockstep_hits(tasks, cfg))
-        backwards = list(mcvd.simulate._lockstep_hits(reduced_grid_tasks()[1][::-1], cfg))[::-1]
+        backwards = list(mcvd.simulate._lockstep_hits(tasks[::-1], cfg))[::-1]
         runs = {}
         for cap in (1, 8192):
             monkeypatch.setattr(mcvd.simulate, "LOCKSTEP_MOLECULES", cap)
-            runs[cap] = list(mcvd.simulate._lockstep_hits(reduced_grid_tasks()[1], cfg))
+            runs[cap] = list(mcvd.simulate._lockstep_hits(tasks, cfg))
         for hits in (batched, backwards, runs[8192]):
             assert len(hits) == len(tasks)
             for a, b in zip(runs[1], hits, strict=True):
                 assert np.array_equal(a, b)
         assert signals_digest(np.cumsum(h) / float(cfg.n_emitted) for h in batched) \
             == REDUCED_GRIDS_DIGESTS[SIM_VERSION]
+
+    def test_a_task_list_run_twice_gives_the_same_hits(self):
+        # a task is plain values: running it draws nothing from its caller
+        cfg, tasks = reduced_grid_tasks()
+        tasks = tasks[:8]
+        first = list(mcvd.simulate._lockstep_hits(tasks, cfg))
+        second = list(mcvd.simulate._lockstep_hits(tasks, cfg))
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a, b)
 
     def test_one_worker_phase1_holds_the_reduced_grids_digest(self, tmp_path):
         from mcvd import ModelKind, run_phase1
@@ -472,22 +479,19 @@ class TestLockstep:
 
     def test_batch_of_cases_equals_each_case_alone(self, monkeypatch):
         cfg = small_cfg(n_replications=3)
-        cases = [(p, replace(cfg, seed=seed)) for p, seed in [
+        cases = [
             (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), 1),
             (SystemParams(d=2.0, r_tx=3.0, r_rx=4.0, diff_coeff=100.0), 2),
             (SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0), 3),
-            (SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=50.0), 4)]]
-        batch = list(simulate_cases(cases))
+            (SystemParams(d=1.0, r_tx=2.0, r_rx=2.0, diff_coeff=50.0), 4)]
+        batch = list(simulate_cases(cases, cfg))
         monkeypatch.setattr(mcvd.simulate, "LOCKSTEP_MOLECULES", 1)
-        for (p, case_cfg), sig in zip(cases, batch, strict=True):
-            alone = simulate_case(p, case_cfg).cumulative_fraction
+        for (p, seed), sig in zip(cases, batch, strict=True):
+            alone = simulate_case(p, replace(cfg, seed=seed)).cumulative_fraction
             assert alone.tobytes() == sig.cumulative_fraction.tobytes()
 
-    def test_cases_of_a_batch_share_their_configuration(self):
-        p = SystemParams(d=2.0, r_tx=0.0, r_rx=4.0, diff_coeff=100.0)
-        assert list(simulate_cases([])) == []
-        with pytest.raises(ValidationError, match="apart from the seed"):
-            list(simulate_cases([(p, small_cfg(seed=1)), (p, small_cfg(seed=2, n_molecules=30))]))
+    def test_empty_batch_yields_nothing(self):
+        assert list(simulate_cases([], small_cfg())) == []
 
 
 class TestSimConfig:
